@@ -18,6 +18,7 @@ seed rather than arguing genericity symbolically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -25,19 +26,19 @@ from fractions import Fraction
 
 from .complexes import SimplicialComplex
 from .errors import HypothesisError, InputError, NotUnmixedError, SectionError
-from .graphs import Graph, HirschVerdict, diameter, hirsch_verdict, is_k_connected, vertex_connectivity
-from .linalg import QQ, RationalMatrix, rank
+from .graphs import (
+    Graph,
+    HirschVerdict,
+    diameter,
+    dual_adjacency,
+    hirsch_verdict,
+    is_k_connected,
+    vertex_connectivity,
+)
+from .linalg import RationalMatrix, parse_rational_vector, rank, rational_to_json
 
 _SECTION_COEFF_MAX = 2**16
 _SECTION_MAX_ATTEMPTS = 32
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InputError(f"coefficient {x!r} is not an exact rational")
 
 
 class SubspaceArrangement:
@@ -47,6 +48,11 @@ class SubspaceArrangement:
     the whole space, of height 0. Equality compares the listed forms, not
     their row spaces. Two components with the same row space are rejected;
     one containing another is not.
+
+    The constructor computes the stacked rank of every pair of components of
+    equal height and keeps the pairs whose stacked rank exceeds that height
+    by exactly one: the dual edges. The dual graph is built from them on
+    first use and kept on the instance.
     """
 
     def __init__(self, n_vars: int, components):
@@ -57,7 +63,7 @@ class SubspaceArrangement:
         for forms in components:
             rows = []
             for form in forms:
-                row = tuple(_as_fraction(c) for c in form)
+                row = parse_rational_vector(form, "coefficient")
                 if len(row) != n_vars:
                     raise InputError(
                         f"form has {len(row)} coefficients, expected {n_vars}"
@@ -70,20 +76,22 @@ class SubspaceArrangement:
         self._heights = tuple(
             rank(RationalMatrix(c, cols=n_vars)) for c in self.components
         )
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if self._heights[i] == self._heights[j] == self._stacked_rank(i, j):
-                    raise InputError(
-                        f"components {i + 1} and {j + 1} have the same row space"
-                    )
+        self._adjacent_pairs = set()
+        for i, j in itertools.combinations(range(len(comps)), 2):
+            if self._heights[i] != self._heights[j]:
+                continue
+            stacked = rank(RationalMatrix(comps[i] + comps[j], cols=n_vars))
+            if stacked == self._heights[i]:
+                raise InputError(
+                    f"components {i + 1} and {j + 1} have the same row space"
+                )
+            if stacked == self._heights[i] + 1:
+                self._adjacent_pairs.add((i, j))
+        self._dual_graph = None
 
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def _stacked_rank(self, i: int, j: int) -> int:
-        stacked = list(self.components[i]) + list(self.components[j])
-        return rank(RationalMatrix(stacked, cols=self.n_vars))
 
     def component_height(self, i: int) -> int:
         return self._heights[i]
@@ -121,21 +129,18 @@ class SubspaceArrangement:
 
 def dual_edge_indices(arr: SubspaceArrangement) -> set[tuple[int, int]]:
     """Pairs (i, j) whose stacked coefficient rank is exactly height + 1."""
-    c = arr.common_height()
-    out = set()
-    for i in range(arr.n_components):
-        for j in range(i + 1, arr.n_components):
-            if arr._stacked_rank(i, j) == c + 1:
-                out.add((i, j))
-    return out
+    arr.common_height()  # raises on a mixed arrangement
+    return set(arr._adjacent_pairs)
 
 
 def dual_graph(arr: SubspaceArrangement) -> Graph:
     """Dual graph on components 1..s, edges where the pairwise sum has
     height exactly one more than the common height."""
-    labels = [str(i + 1) for i in range(arr.n_components)]
-    edges = [(labels[i], labels[j]) for i, j in sorted(dual_edge_indices(arr))]
-    return Graph(labels, edges)
+    if arr._dual_graph is None:
+        labels = [str(i + 1) for i in range(arr.n_components)]
+        edges = [(labels[i], labels[j]) for i, j in sorted(dual_edge_indices(arr))]
+        arr._dual_graph = Graph(labels, edges)
+    return arr._dual_graph
 
 
 def from_complex(cx: SimplicialComplex) -> SubspaceArrangement:
@@ -149,8 +154,6 @@ def from_complex(cx: SimplicialComplex) -> SubspaceArrangement:
     Postcondition (checked): its dual graph coincides with the dual graph
     of the complex under the facet order.
     """
-    from .graphs import dual_adjacency
-
     if not cx.is_pure:
         raise HypothesisError("coordinate arrangements need a pure complex")
     n = cx.n_vertices
@@ -247,9 +250,11 @@ def check_regularity_connectivity(arr: SubspaceArrangement, r: int) -> Connectiv
     For arrangements with a Gorenstein quotient of regularity r this must
     hold; r is supplied by the caller as an external certificate, since
     Gorensteinness of non-coordinate arrangements is not computed here.
+    Regularity 0 means a polynomial ring (the zero ideal), and a dual graph,
+    never empty, is always 0-connected.
     """
-    if r < 1:
-        raise InputError("connectivity level r must be >= 1")
+    if r < 0:
+        raise InputError("connectivity level r must be >= 0")
     if not arr.is_unmixed():
         raise NotUnmixedError("connectivity check requires an unmixed arrangement")
     g = dual_graph(arr)
@@ -278,8 +283,6 @@ class ArrangementReport:
     multiplicity: int
     dual_graph: Graph | None
     diameter: float | int | None
-    vertex_connectivity: int | None
-    edge_connectivity: int | None
     verdict: HirschVerdict | None
     derksen_sidman: int
     regularity_check: ConnectivityCheck | None
@@ -290,18 +293,13 @@ def analyze_arrangement(
     regularity_certificate: int | None = None,
     ds_subset=None,
 ) -> ArrangementReport:
-    from .graphs import edge_connectivity
-
     unmixed = arr.is_unmixed()
-    g = diam = kappa = lam = verdict = check = None
+    g = diam = verdict = check = None
     common = None
     if unmixed:
         common = arr.common_height()
         g = dual_graph(arr)
         diam = diameter(g)
-        if g.n >= 2:
-            kappa, _ = vertex_connectivity(g)
-            lam, _ = edge_connectivity(g)
         verdict = hirsch_verdict(diam, common)
         if regularity_certificate is not None:
             check = check_regularity_connectivity(arr, regularity_certificate)
@@ -316,8 +314,6 @@ def analyze_arrangement(
         multiplicity=arr.multiplicity(),
         dual_graph=g,
         diameter=diam,
-        vertex_connectivity=kappa,
-        edge_connectivity=lam,
         verdict=verdict,
         derksen_sidman=ds,
         regularity_check=check,
@@ -327,15 +323,11 @@ def analyze_arrangement(
 # -- JSON format ------------------------------------------------------------------
 
 
-def _coeff_to_json(x: Fraction):
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def arrangement_to_json_dict(arr: SubspaceArrangement) -> dict:
     return {
         "variables": arr.n_vars,
         "components": [
-            [[_coeff_to_json(c) for c in form] for form in comp]
+            [[rational_to_json(c) for c in form] for form in comp]
             for comp in arr.components
         ],
     }
@@ -351,6 +343,8 @@ def arrangement_from_json_dict(data: dict) -> SubspaceArrangement:
         ) from None
     if not isinstance(n, int):
         raise InputError('"variables" must be an integer')
+    if not isinstance(comps, list) or not all(isinstance(c, list) for c in comps):
+        raise InputError('"components" must be a list of lists of forms')
     return SubspaceArrangement(n, comps)
 
 

@@ -182,12 +182,17 @@ class SimplicialComplex:
     def has_face_mask(self, mask: int) -> bool:
         return any(f & mask == mask for f in self.facets)
 
-    def has_face(self, face) -> bool:
-        try:
-            m = self.mask_of(face)
-        except NotAFaceError:
-            return False
-        return self.has_face_mask(m)
+    @cached_property
+    def ridge_pairs(self) -> frozenset[tuple[int, int]]:
+        """Facet-index pairs (i, j), i < j, of facets that differ in exactly
+        one vertex each; on a pure complex, the edges of the dual graph."""
+        facets = self.facets
+        return frozenset(
+            (i, j)
+            for i in range(len(facets))
+            for j in range(i + 1, len(facets))
+            if bin(facets[i] ^ facets[j]).count("1") == 2
+        )
 
     @cached_property
     def faces(self) -> frozenset[int]:

@@ -6,13 +6,16 @@ witnesses), diameter bounds, Hirsch verdicts, non-revisiting dual paths,
 the 6-vertex forbidden induced pattern for line-arrangement dual graphs,
 and the named graph families used throughout the suite.
 
-Graphs are immutable after construction. Disconnected diameters are the
-float infinity, never a sentinel integer.
+Graphs are immutable after construction, so each invariant -- diameter,
+vertex and edge connectivity with their cuts, the forbidden-pattern
+witness -- is computed once per graph and kept on it. Disconnected
+diameters are the float infinity, never a sentinel integer.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from collections import deque
 from math import comb, inf
@@ -25,6 +28,19 @@ from .errors import (
     ParseError,
     UnknownFamilyError,
 )
+
+
+def _kept_on_graph(compute):
+    """Run ``compute(g)`` once per graph and keep its result on the graph."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def invariant(g):
+        if name not in g._invariants:
+            g._invariants[name] = compute(g)
+        return g._invariants[name]
+
+    return invariant
 
 
 class Graph:
@@ -50,6 +66,7 @@ class Graph:
         self.edges = tuple(
             sorted(normalized, key=lambda e: (self._index[e[0]], self._index[e[1]]))
         )
+        self._invariants: dict = {}
 
     @classmethod
     def from_edges(cls, edges, isolated=()) -> "Graph":
@@ -146,6 +163,7 @@ def is_connected(g: Graph) -> bool:
     return len(bfs_distances(g, g.vertices[0])) == g.n
 
 
+@_kept_on_graph
 def diameter(g: Graph) -> int | float:
     """Largest BFS eccentricity; infinity when disconnected, 0 for K1."""
     if g.n == 0:
@@ -210,6 +228,7 @@ def _vertex_flow(g: Graph, s_idx: int, t_idx: int):
     return value, cut
 
 
+@_kept_on_graph
 def vertex_connectivity(g: Graph):
     """Global vertex connectivity with a minimum vertex cut witness.
 
@@ -259,6 +278,7 @@ def _edge_flow(g: Graph, s_idx: int, t_idx: int):
     return value, cut
 
 
+@_kept_on_graph
 def edge_connectivity(g: Graph):
     """Global edge connectivity with a minimum edge cut witness."""
     if g.n < 2:
@@ -287,10 +307,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if k == 0:
         return True
-    if k == 1:
-        return is_connected(g)
-    kappa, _ = vertex_connectivity(g)
-    return kappa >= k
+    return vertex_connectivity(g)[0] >= k
 
 
 def menger_diameter_bounds(s: int, t: int, k: int) -> tuple[int, int]:
@@ -328,20 +345,14 @@ def facet_label(facet) -> str:
     return ",".join(str(v) for v in facet)
 
 
-def dual_adjacency(cx: SimplicialComplex) -> set[tuple[int, int]]:
+def dual_adjacency(cx: SimplicialComplex) -> frozenset[tuple[int, int]]:
     """Dual edges as facet-index pairs: facets sharing a ridge."""
     if cx.is_void:
         raise EmptyGraphError("the void complex has no dual graph")
     if not cx.is_pure:
         raise NonPureComplexError("the dual graph requires a pure complex")
-    facets = cx.facets
-    out = set()
-    for i in range(len(facets)):
-        fi = facets[i]
-        for j in range(i + 1, len(facets)):
-            if bin(fi ^ facets[j]).count("1") == 2:
-                out.add((i, j))
-    return out
+    return cx.ridge_pairs
+
 
 def dual_graph(cx: SimplicialComplex) -> Graph:
     """Graph on the facets; edges join facets sharing a codimension-1 face."""
@@ -372,7 +383,7 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
     if si == gi:
         return (cx.labels_of(facets[si]),)
     adj: dict[int, list[int]] = {i: [] for i in range(len(facets))}
-    for i, j in sorted(dual_adjacency(cx)):
+    for i, j in sorted(cx.ridge_pairs):
         adj[i].append(j)
         adj[j].append(i)
     start = (si, 0)
@@ -416,6 +427,7 @@ def forbidden_pattern() -> Graph:
     return Graph([str(i) for i in range(1, 7)], FORBIDDEN_PATTERN_EDGES)
 
 
+@_kept_on_graph
 def contains_forbidden_line_graph(g: Graph):
     """Search for the forbidden 6-vertex pattern as an induced subgraph.
 
@@ -495,26 +507,6 @@ def degree_diameter_bound(d: int, c: int) -> int:
     if d < 1 or c < 2:
         raise InputError("need degree >= 1 and height >= 2")
     return d**c - 2
-
-
-BOUND_NAMES = {
-    "degree_vertex": (degree_vertex_bound, ("k", "c")),
-    "regularity_vertex": (regularity_vertex_bound, ("c", "r")),
-    "larman_diameter": (larman_diameter_bound, ("n", "c")),
-    "degree_diameter": (degree_diameter_bound, ("d", "c")),
-}
-
-
-def compute_bound(name: str, params: dict) -> int:
-    """Dispatch a named bound calculator on keyword parameters."""
-    try:
-        func, keys = BOUND_NAMES[name]
-    except KeyError:
-        raise UnknownFamilyError(f"unknown bound {name!r}") from None
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise InputError(f"bound {name!r} needs parameters {keys}")
-    return func(*(params[k] for k in keys))
 
 
 # -- graph families --------------------------------------------------------------
@@ -611,8 +603,3 @@ def format_graph_text(g: Graph) -> str:
 def read_graph_file(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph_text(fh.read())
-
-
-def write_graph_file(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph_text(g))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import FieldError
+from .errors import FieldError, InputError
 
 _PRIME_CAP = 2**31
 
@@ -79,6 +79,32 @@ def parse_field(text: str) -> FieldSpec:
             raise FieldError(f"bad field spec {text!r}") from None
         return FieldSpec(p)
     raise FieldError(f"bad field spec {text!r} (expected 'q' or 'gf:p')")
+
+
+def parse_rational(x, what: str) -> Fraction:
+    """An exact rational from an int, a Fraction or a string such as "3/4".
+
+    Anything else -- a float, a malformed string, a zero denominator -- is an
+    InputError naming ``what`` (e.g. "coefficient"), never a bare exception.
+    """
+    if isinstance(x, (int, Fraction, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"{what} {x!r} is not an exact rational")
+
+
+def parse_rational_vector(values, what: str) -> tuple[Fraction, ...]:
+    """A list of exact rationals, each parsed by ``parse_rational``."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"expected a list of {what}s, got {values!r}")
+    return tuple(parse_rational(x, what) for x in values)
+
+
+def rational_to_json(x: Fraction):
+    """An integer when ``x`` is one, else the string "p/q"."""
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 class RationalMatrix:

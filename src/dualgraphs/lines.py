@@ -20,13 +20,7 @@ from math import gcd, inf
 
 from .errors import HypothesisError, InputError
 from .graphs import Graph, diameter, edge_connectivity, is_k_connected
-from .linalg import RationalMatrix, nullspace, rank
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction, str)):
-        return Fraction(x)
-    raise InputError(f"coordinate {x!r} is not an exact rational")
+from .linalg import RationalMatrix, nullspace, parse_rational_vector, rank, rational_to_json
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,8 @@ class ProjectiveLine:
     def through(cls, ambient_dim: int, p, q) -> "ProjectiveLine":
         return cls(
             ambient_dim,
-            tuple(_as_fraction(x) for x in p),
-            tuple(_as_fraction(x) for x in q),
+            parse_rational_vector(p, "coordinate"),
+            parse_rational_vector(q, "coordinate"),
         )
 
 
@@ -107,7 +101,11 @@ def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
 
 
 class LineArrangement:
-    """Finitely many pairwise distinct lines in a common P^N (N >= 2)."""
+    """Finitely many pairwise distinct lines in a common P^N (N >= 2).
+
+    The arrangement never changes, so its intersection pairs and its dual
+    graph are computed on first use and kept on the instance.
+    """
 
     def __init__(self, ambient_dim: int, lines):
         if ambient_dim < 2:
@@ -125,6 +123,8 @@ class LineArrangement:
             for j in range(i + 1, len(self.lines)):
                 if same_line(self.lines[i], self.lines[j]):
                     raise InputError(f"lines {i + 1} and {j + 1} coincide")
+        self._intersections = None
+        self._dual_graph = None
 
     @property
     def n_lines(self) -> int:
@@ -132,13 +132,15 @@ class LineArrangement:
 
     def intersection_pairs(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """All meeting index pairs with their canonical points."""
-        out = {}
-        for i in range(self.n_lines):
-            for j in range(i + 1, self.n_lines):
-                pt = intersects(self.lines[i], self.lines[j])
-                if pt is not None:
-                    out[(i, j)] = pt
-        return out
+        if self._intersections is None:
+            out = {}
+            for i in range(self.n_lines):
+                for j in range(i + 1, self.n_lines):
+                    pt = intersects(self.lines[i], self.lines[j])
+                    if pt is not None:
+                        out[(i, j)] = pt
+            self._intersections = out
+        return self._intersections
 
 
 def no_triple_points(arr: LineArrangement):
@@ -154,9 +156,11 @@ def no_triple_points(arr: LineArrangement):
 
 def dual_graph(arr: LineArrangement) -> Graph:
     """Graph on lines 1..s; edges join lines that meet."""
-    labels = [str(i + 1) for i in range(arr.n_lines)]
-    edges = [(labels[i], labels[j]) for i, j in sorted(arr.intersection_pairs())]
-    return Graph(labels, edges)
+    if arr._dual_graph is None:
+        labels = [str(i + 1) for i in range(arr.n_lines)]
+        edges = [(labels[i], labels[j]) for i, j in sorted(arr.intersection_pairs())]
+        arr._dual_graph = Graph(labels, edges)
+    return arr._dual_graph
 
 
 def genus(arr: LineArrangement) -> int:
@@ -210,36 +214,27 @@ def canonical_hirsch_verdict(arr: LineArrangement) -> CurveReport:
         raise HypothesisError(f"three lines meet at {pt}")
     g = genus(arr)
     graph = dual_graph(arr)
-    s = graph.n
-    t = graph.m
-    height = g - 2
-    diam = diameter(graph)
     lam, _ = edge_connectivity(graph)
-    three_edge = lam >= 3
-    branch = None
-    trivalent_three = None
-    if not three_edge:
+    # For s lines meeting in t points, the height g - 2 is t - s - 1: the
+    # bound check_canonical_graph verifies on the dual graph.
+    check = check_canonical_graph(graph) if lam >= 3 else None
+    if check is None:
         verdict = VERDICT_NOT_EMBEDDABLE
     else:
-        if 2 * t == 3 * s:
-            branch = "trivalent"
-            trivalent_three = is_k_connected(graph, 3)
-        else:
-            branch = "edge_bound"
-        verdict = VERDICT_HIRSCH if diam != inf and diam <= height else VERDICT_NOT_HIRSCH
+        verdict = VERDICT_HIRSCH if check.passed else VERDICT_NOT_HIRSCH
     return CurveReport(
-        line_count=s,
-        intersection_count=t,
+        line_count=graph.n,
+        intersection_count=graph.m,
         triple_point_free=True,
         genus=g,
         dual_graph=graph,
-        three_edge_connected=three_edge,
+        three_edge_connected=check is not None,
         edge_connectivity=lam,
-        height=height,
-        diameter=diam,
+        height=g - 2,
+        diameter=diameter(graph),
         verdict=verdict,
-        branch=branch,
-        trivalent_three_connected=trivalent_three,
+        branch=None if check is None else check.branch,
+        trivalent_three_connected=None if check is None else check.trivalent_three_connected,
     )
 
 
@@ -284,15 +279,11 @@ def check_canonical_graph(g: Graph) -> CanonicalGraphCheck:
 # -- JSON format ------------------------------------------------------------------
 
 
-def _coord_to_json(x: Fraction):
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def lines_to_json_dict(arr: LineArrangement) -> dict:
     return {
         "ambient_dim": arr.ambient_dim,
         "lines": [
-            {"points": [[_coord_to_json(x) for x in ln.p], [_coord_to_json(x) for x in ln.q]]}
+            {"points": [[rational_to_json(x) for x in ln.p], [rational_to_json(x) for x in ln.q]]}
             for ln in arr.lines
         ],
     }
@@ -306,6 +297,8 @@ def lines_from_json_dict(data: dict) -> LineArrangement:
         raise InputError('lines JSON needs "ambient_dim" and "lines"') from None
     if not isinstance(n, int):
         raise InputError('"ambient_dim" must be an integer')
+    if not isinstance(entries, list):
+        raise InputError('"lines" must be a list')
     lines = []
     for k, entry in enumerate(entries, start=1):
         try:
@@ -323,9 +316,3 @@ def read_lines_file(path) -> LineArrangement:
         except json.JSONDecodeError as exc:
             raise InputError(f"bad lines JSON: {exc}") from None
     return lines_from_json_dict(data)
-
-
-def write_lines_file(arr: LineArrangement, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(lines_to_json_dict(arr), fh, indent=2)
-        fh.write("\n")

@@ -4,15 +4,28 @@ Each analyzer builds one dict (stable key order, snake_case keys) and the
 text format is rendered from that same dict, so both output formats always
 carry identical numbers.
 
-The checks list holds one entry per verifiable statement. A statement whose
-hypotheses fail on the given input is reported as ``not_applicable`` with
-the violated hypothesis named -- never as a failure.
+The checks list holds one entry per verifiable statement. Each report kind
+declares its checks once, in a table of ``Check`` entries run in order by
+``_run_checks``; a run of per-field checks is emitted field by field. A
+check's ``applies`` rule returns None when the statement's hypotheses hold,
+a reason string when they do not -- the entry is then ``not_applicable``
+with the violated hypothesis named, never a failure -- or ``OMIT`` when the
+report leaves the check out because the input has nothing it could be
+about (no dual graph, the wrong height, another branch of the argument).
+``verify`` runs only on applicable checks and returns (passed, detail).
+
+Both read the analyzed objects, never the report dict: the dual graph
+first, then the input and what the report derived from it. Invariants are
+computed once and kept on the object that owns them (the ``Graph``, the
+``LineArrangement``, the ``SubspaceArrangement``), and package functions are
+looked up through their modules when a check runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import inf
+from typing import Callable, NamedTuple
 
 from . import arrangements as arr_mod
 from . import graphs as graph_mod
@@ -27,44 +40,290 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_NA = "not_applicable"
 
+#: Applicability result for a check the report leaves out.
+OMIT = object()
 
-def _check(check_id, statement, status, detail, field=None):
-    return {
-        "id": check_id,
-        "statement": statement,
-        "field": field,
-        "status": status,
-        "detail": detail,
-    }
+
+class Check(NamedTuple):
+    """One check of one report kind, declared once (see the module docstring)."""
+
+    id: str
+    statement: str
+    applies: Callable  # (*objects) -> None | reason | OMIT
+    verify: Callable  # (*objects) -> (passed, detail)
+    per_field: bool = False
+
+
+def _run_checks(table, objects: tuple, fields=()) -> list[dict]:
+    """Entries of ``table`` on ``objects``; per-field checks also get each of
+    ``fields`` in turn."""
+    entries = []
+    for per_field, group in itertools.groupby(table, key=lambda c: c.per_field):
+        group = list(group)
+        for field in fields if per_field else (None,):
+            args = objects + (field,) if per_field else objects
+            for check in group:
+                reason = check.applies(*args)
+                if reason is OMIT:
+                    continue
+                if reason is None:
+                    passed, detail = check.verify(*args)
+                    status = STATUS_PASS if passed else STATUS_FAIL
+                else:
+                    status, detail = STATUS_NA, reason
+                entries.append({"id": check.id, "statement": check.statement,
+                                "field": field.name if per_field else None,
+                                "status": status, "detail": detail})
+    return entries
+
+
+def _unless(holds, reason):
+    """Applicability: None (the check applies) when ``holds``, else ``reason``."""
+    return None if holds else reason
+
+
+def _violated(outcome):
+    """The message when a verifier refused its input, else None."""
+    return str(outcome) if isinstance(outcome, HypothesisError) else None
 
 
 def _diam_value(d):
     return "infinite" if d == inf else d
 
 
+def _kappa(g: Graph):
+    return graph_mod.vertex_connectivity(g)[0] if g.n >= 2 else None
+
+
+def _lambda(g: Graph):
+    return graph_mod.edge_connectivity(g)[0] if g.n >= 2 else None
+
+
 def _graph_stats(g: Graph) -> dict:
-    stats = {
+    kappa, vcut = graph_mod.vertex_connectivity(g) if g.n >= 2 else (None, None)
+    lam, ecut = graph_mod.edge_connectivity(g) if g.n >= 2 else (None, None)
+    return {
         "vertices": [str(v) for v in g.vertices],
         "n_vertices": g.n,
         "n_edges": g.m,
         "edges": [[str(u), str(v)] for u, v in g.edges],
         "diameter": _diam_value(graph_mod.diameter(g)) if g.n else None,
-        "vertex_connectivity": None,
-        "edge_connectivity": None,
-        "min_vertex_cut": None,
-        "min_edge_cut": None,
+        "vertex_connectivity": kappa,
+        "edge_connectivity": lam,
+        "min_vertex_cut": None if vcut is None else [str(v) for v in vcut],
+        "min_edge_cut": None if ecut is None else [[str(u), str(v)] for u, v in ecut],
     }
-    if g.n >= 2:
-        kappa, vcut = graph_mod.vertex_connectivity(g)
-        lam, ecut = graph_mod.edge_connectivity(g)
-        stats["vertex_connectivity"] = kappa
-        stats["edge_connectivity"] = lam
-        stats["min_vertex_cut"] = None if vcut is None else [str(v) for v in vcut]
-        stats["min_edge_cut"] = None if ecut is None else [[str(u), str(v)] for u, v in ecut]
-    return stats
+
+
+def _verify_menger(g, *_objects):
+    diam = graph_mod.diameter(g)
+    bound_a = graph_mod.menger_diameter_bounds(g.n, g.m, _kappa(g))[0]
+    bound_b = graph_mod.menger_diameter_bounds(g.n, g.m, _lambda(g))[1]
+    ok = diam <= bound_a and diam <= bound_b
+    return ok, f"diameter {_diam_value(diam)} <= {bound_a}, {bound_b}"
+
+
+#: Declared as arrangements and graphs use it: left out unless the dual graph
+#: has two vertices and is connected. Complexes call that not applicable.
+_MENGER = Check(
+    "connectivity_diameter_bounds",
+    "connectivity bounds the diameter: floor((s-2)/k)+1 and floor(t/k)",
+    lambda g, *_objects: _unless(g is not None and g.n >= 2 and _kappa(g) >= 1, OMIT),
+    _verify_menger)
+
+_SMALL_CASES = "small-case guarantees force the Hirsch bound"
+
+
+def _small_case_verdict(g, height, cases):
+    ok = graph_mod.hirsch_verdict(graph_mod.diameter(g), height) == HirschVerdict.HIRSCH
+    return ok, "applicable: " + "; ".join(cases)
 
 
 # -- complexes ----------------------------------------------------------------
+
+
+class _FieldResult(NamedTuple):
+    """What a complex report computes over one coefficient field."""
+
+    name: str
+    cohen_macaulay: bool
+    gorenstein: bool
+    sphere: bool | None
+    regularity: int
+    normal: bool | None  # field-free; read by the per-field check cm_normal
+
+
+def _pure(cx):
+    return _unless(cx.is_pure, "complex is not pure")
+
+
+def _pure_cm(cx, f):
+    return _pure(cx) or _unless(f.cohen_macaulay, f"not Cohen-Macaulay over {f.name}")
+
+
+def _has_dual_graph(cx):
+    return _unless(cx.is_pure, OMIT)
+
+
+def _h_degree(cx):
+    return max((j for j, v in enumerate(cx.h_vector) if v), default=0)
+
+
+def _verify_nonrevisiting(g, cx, f):
+    diam, height = graph_mod.diameter(g), cx.height()
+    for f1, f2 in itertools.combinations(cx.facet_labels(), 2):
+        if graph_mod.non_revisiting_path(cx, f1, f2) is None:
+            return False, (f"no non-revisiting path between"
+                           f" {','.join(map(str, f1))} and {','.join(map(str, f2))}")
+    if diam > height:
+        return False, f"diameter {_diam_value(diam)} > height {height}"
+    return True, (f"paths found for all {g.n * (g.n - 1) // 2} facet pairs,"
+                  f" diameter {_diam_value(diam)} <= height {height}")
+
+
+def _verify_regularity_vertex(g, cx, f):
+    bound = graph_mod.regularity_vertex_bound(cx.height(), f.regularity)
+    return g.n <= bound, f"{g.n} facets <= bound {bound}"
+
+
+def _larman_range(cx):
+    n, c = cx.n_vertices, cx.height()
+    return _unless(n - c - 3 >= 0, f"n-c-3 = {n - c - 3} < 0") or _unless(c >= 1, "height 0")
+
+
+def _verify_larman(g, cx, f):
+    bound = graph_mod.larman_diameter_bound(cx.n_vertices, cx.height())
+    diam = graph_mod.diameter(g)
+    return diam != inf and diam <= bound, f"diameter {_diam_value(diam)} <= bound {bound}"
+
+
+def _complex_small_cases(cx, f) -> list[str]:
+    height = cx.height()
+    cases = [
+        (cx.n_facets == 1, "prime ideal (single facet)"),
+        (cx.dimension == 0, "finite set of points"),
+        (height == 1, "hypersurface (height 1)"),
+        (f.cohen_macaulay and f.regularity <= 1,
+         f"Cohen-Macaulay of regularity <= 1 over {f.name}"),
+        (cx.n_vertices <= 3, "at most 3 variables"),
+        (height == 2 and cx.max_generator_degree() <= 2 and f.cohen_macaulay,
+         f"height-2 quadratic Cohen-Macaulay over {f.name}"),
+        (f.gorenstein and f.regularity == 2, f"Gorenstein of regularity 2 over {f.name}"),
+    ]
+    return [case for holds, case in cases if holds]
+
+
+def _complete_intersection(cx):
+    """Pairwise-disjoint minimal nonfaces."""
+    nonfaces = [set(nf) for nf in cx.minimal_nonfaces]
+    if not nonfaces:
+        return "the nonface ideal is zero"
+    disjoint = all(not (a & b) for a, b in itertools.combinations(nonfaces, 2))
+    return _unless(disjoint, "nonface ideal is not a complete intersection")
+
+
+def _verify_complete_intersection(g, cx):
+    level = (min(len(nf) for nf in cx.minimal_nonfaces) - 1) * cx.height()
+    ok = level == 0 or graph_mod.is_k_connected(g, level)
+    return ok, f"(d-1)c = {level}, vertex connectivity {_kappa(g)}"
+
+
+def _verify_degree_vertex(g, cx):
+    k, c = cx.max_generator_degree(), cx.height()
+    bound = graph_mod.degree_vertex_bound(k, c)
+    return g.n <= bound, f"{g.n} facets <= bound {bound} (k={k}, c={c})"
+
+
+def _verify_degree_diameter(g, cx):
+    diam = graph_mod.diameter(g)
+    bound = graph_mod.degree_diameter_bound(cx.max_generator_degree(), cx.height())
+    return diam <= bound, f"diameter {diam} <= bound {bound}"
+
+
+def _verify_no_pattern(g, cx):
+    witness = graph_mod.contains_forbidden_line_graph(g)
+    return witness is None, "pattern absent" if witness is None else f"witness {witness}"
+
+
+#: Objects: the dual graph (None unless pure) and the complex; per-field
+#: checks also get the field's ``_FieldResult``.
+_COMPLEX_CHECKS = (
+    Check("multiplicity_facet_count", "multiplicity equals the facet count for nonface ideals",
+          lambda g, cx: _pure(cx),
+          lambda g, cx: (cx.multiplicity() == cx.n_facets,
+                         f"h(1) = {cx.multiplicity()}, facets = {cx.n_facets}")),
+    Check("cm_connected_dual", "Cohen-Macaulay quotients have connected dual graphs",
+          lambda g, cx, f: _pure_cm(cx, f),
+          lambda g, cx, f: (graph_mod.diameter(g) != inf,
+                            f"diameter = {_diam_value(graph_mod.diameter(g))}"),
+          per_field=True),
+    Check("gorenstein_regularity_connectivity",
+          "Gorenstein quotients of regularity r have r-connected dual graphs",
+          lambda g, cx, f: _pure(cx) or _unless(f.gorenstein, f"not Gorenstein over {f.name}"),
+          lambda g, cx, f: (f.regularity == 0 or graph_mod.is_k_connected(g, f.regularity),
+                            f"regularity {f.regularity}, vertex connectivity {_kappa(g)}"),
+          per_field=True),
+    Check("sphere_connectivity", "homology d-spheres have (d+1)-connected dual graphs",
+          lambda g, cx, f: _pure(cx) or _unless(f.sphere, f"not a homology sphere over {f.name}"),
+          lambda g, cx, f: (graph_mod.is_k_connected(g, cx.dimension + 1),
+                            f"dimension {cx.dimension}, vertex connectivity {_kappa(g)}"),
+          per_field=True),
+    Check("cm_regularity_h_degree",
+          "for Cohen-Macaulay quotients the regularity is the h-polynomial degree",
+          lambda g, cx, f: _pure_cm(cx, f),
+          lambda g, cx, f: (f.regularity == _h_degree(cx),
+                            f"regularity {f.regularity}, h-degree {_h_degree(cx)}"),
+          per_field=True),
+    Check("cm_normal", "Cohen-Macaulay complexes are normal",
+          lambda g, cx, f: _pure_cm(cx, f),
+          lambda g, cx, f: (f.normal, f"normal = {f.normal}"),
+          per_field=True),
+    Check("flag_cm_nonrevisiting",
+          "flag Cohen-Macaulay complexes join facets by non-revisiting paths"
+          " and satisfy the Hirsch bound",
+          lambda g, cx, f: _pure(cx) or _unless(
+              cx.is_flag, "nonface ideal not generated in degree 2") or _pure_cm(cx, f),
+          _verify_nonrevisiting,
+          per_field=True),
+    Check("cm_regularity_vertex_bound",
+          "CM quotients of height c and regularity r have at most"
+          " sum_i C(c+i-1, i) minimal primes",
+          lambda g, cx, f: _pure_cm(cx, f) or _unless(cx.height() >= 1, "height 0"),
+          _verify_regularity_vertex,
+          per_field=True),
+    Check("cm_larman_diameter_bound", "CM monomial quotients satisfy diam <= 2^(n-c-3) * n",
+          lambda g, cx, f: _pure_cm(cx, f) or _larman_range(cx),
+          _verify_larman,
+          per_field=True),
+    Check("small_case_hirsch", _SMALL_CASES,
+          lambda g, cx, f: _pure(cx) or _unless(_complex_small_cases(cx, f),
+                                                "no small case applies"),
+          lambda g, cx, f: _small_case_verdict(g, cx.height(), _complex_small_cases(cx, f)),
+          per_field=True),
+    Check("complete_intersection_connectivity",
+          "complete intersections of height c with minimal generator"
+          " degree d have (d-1)c-connected dual graphs",
+          lambda g, cx: _has_dual_graph(cx) or _complete_intersection(cx),
+          _verify_complete_intersection),
+    Check("generator_degree_vertex_bound",
+          "height-c ideals generated in degree <= k have at most k^c minimal primes",
+          lambda g, cx: _has_dual_graph(cx) or _unless(
+              cx.max_generator_degree() >= 1 and cx.height() >= 1, "the nonface ideal is zero"),
+          _verify_degree_vertex),
+    _MENGER._replace(applies=lambda g, cx: _has_dual_graph(cx) or _unless(
+        g.n >= 2 and _kappa(g) >= 1, "dual graph disconnected or trivial")),
+    Check("degree_diameter_bound",
+          "connected height-c ideals generated in degree <= d have diam <= d^c - 2",
+          lambda g, cx: _has_dual_graph(cx) or _unless(
+              cx.height() >= 2 and cx.max_generator_degree() >= 1
+              and graph_mod.diameter(g) != inf, "needs height >= 2 and a connected dual graph"),
+          _verify_degree_diameter),
+    Check("forbidden_pattern_screen",
+          "dual graphs of pure complexes never contain the forbidden"
+          " 6-vertex pattern as an induced subgraph",
+          lambda g, cx: _has_dual_graph(cx),
+          _verify_no_pattern),
+)
 
 
 def build_complex_report(
@@ -115,14 +374,25 @@ def build_complex_report(
         report["multiplicity"] = None
         warnings.append("complex is not pure: h-vector, height, and dual graph skipped")
 
-    field_results = {}
+    normal = homology.is_normal(cx) if pure else None
+    results = []
+    report["fields"] = {}
     for field in fields:
         cert = homology.regularity(cx, field, max_vertices=max_hochster_n)
         betti = homology.reduced_betti_numbers(cx, field)
-        entry = {
-            "cohen_macaulay": homology.is_cohen_macaulay(cx, field),
-            "gorenstein": homology.is_gorenstein(cx, field),
-            "homology_sphere": homology.is_homology_sphere(cx, field) if pure else None,
+        result = _FieldResult(
+            str(field),
+            homology.is_cohen_macaulay(cx, field),
+            homology.is_gorenstein(cx, field),
+            homology.is_homology_sphere(cx, field) if pure else None,
+            cert.value,
+            normal,
+        )
+        results.append(result)
+        report["fields"][result.name] = {
+            "cohen_macaulay": result.cohen_macaulay,
+            "gorenstein": result.gorenstein,
+            "homology_sphere": result.sphere,
             "regularity": cert.value,
             "regularity_witness": {
                 "vertices": [str(v) for v in cert.witness_vertices],
@@ -130,315 +400,76 @@ def build_complex_report(
             },
             "reduced_betti": list(betti.reduced),
         }
-        field_results[str(field)] = entry
-    report["fields"] = field_results
-    report["normal"] = homology.is_normal(cx) if pure else None
+    report["normal"] = normal
 
-    dual = hirsch = None
+    g = dual = hirsch = None
     if pure:
         g = graph_mod.dual_graph(cx)
-        dual = _graph_stats(g)
         diam = graph_mod.diameter(g)
-        verdict = graph_mod.hirsch_verdict(diam, cx.height())
+        dual = _graph_stats(g)
         hirsch = {
             "diameter": _diam_value(diam),
             "height": cx.height(),
-            "verdict": verdict.value,
+            "verdict": graph_mod.hirsch_verdict(diam, cx.height()).value,
         }
     report["dual_graph"] = dual
     report["hirsch"] = hirsch
-
-    report["checks"] = _complex_checks(cx, report, fields)
+    report["checks"] = _run_checks(_COMPLEX_CHECKS, (g, cx), results)
     report["warnings"] = warnings
     return report
 
 
-def _complex_checks(cx, report, fields) -> list[dict]:
-    checks: list[dict] = []
-    pure = report["pure"]
-    dual = report["dual_graph"]
-    s = dual["n_vertices"] if dual else None
-    t = dual["n_edges"] if dual else None
-    kappa = dual["vertex_connectivity"] if dual else None
-    lam = dual["edge_connectivity"] if dual else None
-    diam = None
-    if dual:
-        diam = inf if dual["diameter"] == "infinite" else dual["diameter"]
-    height = report["height"]
-    gen_degree = report["max_generator_degree"]
-    n = report["n_vertices"]
-    not_pure = "complex is not pure"
-
-    if pure:
-        checks.append(
-            _check(
-                "multiplicity_facet_count",
-                "multiplicity equals the facet count for nonface ideals",
-                STATUS_PASS if report["multiplicity"] == report["n_facets"] else STATUS_FAIL,
-                f"h(1) = {report['multiplicity']}, facets = {report['n_facets']}",
-            )
-        )
-    else:
-        checks.append(
-            _check("multiplicity_facet_count",
-                   "multiplicity equals the facet count for nonface ideals",
-                   STATUS_NA, not_pure)
-        )
-
-    for field in fields:
-        fname = str(field)
-        fr = report["fields"][fname]
-        cm = fr["cohen_macaulay"]
-        reg = fr["regularity"]
-
-        # Cohen-Macaulay quotients have connected dual graphs.
-        if not pure:
-            checks.append(_check("cm_connected_dual",
-                                 "Cohen-Macaulay quotients have connected dual graphs",
-                                 STATUS_NA, not_pure, field=fname))
-        elif not cm:
-            checks.append(_check("cm_connected_dual",
-                                 "Cohen-Macaulay quotients have connected dual graphs",
-                                 STATUS_NA, f"not Cohen-Macaulay over {fname}", field=fname))
-        else:
-            ok = diam != inf
-            checks.append(_check("cm_connected_dual",
-                                 "Cohen-Macaulay quotients have connected dual graphs",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 f"diameter = {_diam_value(diam)}", field=fname))
-
-        # Gorenstein arrangements of regularity r have r-connected dual graphs.
-        if not pure:
-            checks.append(_check("gorenstein_regularity_connectivity",
-                                 "Gorenstein quotients of regularity r have r-connected dual graphs",
-                                 STATUS_NA, not_pure, field=fname))
-        elif not fr["gorenstein"]:
-            checks.append(_check("gorenstein_regularity_connectivity",
-                                 "Gorenstein quotients of regularity r have r-connected dual graphs",
-                                 STATUS_NA, f"not Gorenstein over {fname}", field=fname))
-        else:
-            g = graph_mod.dual_graph(cx)
-            ok = reg == 0 or graph_mod.is_k_connected(g, reg)
-            checks.append(_check("gorenstein_regularity_connectivity",
-                                 "Gorenstein quotients of regularity r have r-connected dual graphs",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 f"regularity {reg}, vertex connectivity {kappa}", field=fname))
-
-        # Homology spheres of dimension d have (d+1)-connected dual graphs.
-        if not pure or not fr["homology_sphere"]:
-            why = not_pure if not pure else f"not a homology sphere over {fname}"
-            checks.append(_check("sphere_connectivity",
-                                 "homology d-spheres have (d+1)-connected dual graphs",
-                                 STATUS_NA, why, field=fname))
-        else:
-            d = report["dimension"]
-            g = graph_mod.dual_graph(cx)
-            ok = graph_mod.is_k_connected(g, d + 1)
-            checks.append(_check("sphere_connectivity",
-                                 "homology d-spheres have (d+1)-connected dual graphs",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 f"dimension {d}, vertex connectivity {kappa}", field=fname))
-
-        # For CM quotients the regularity equals the h-polynomial degree.
-        if not pure or not cm:
-            why = not_pure if not pure else f"not Cohen-Macaulay over {fname}"
-            checks.append(_check("cm_regularity_h_degree",
-                                 "for Cohen-Macaulay quotients the regularity is the h-polynomial degree",
-                                 STATUS_NA, why, field=fname))
-        else:
-            h = report["h_vector"]
-            h_degree = max((j for j, v in enumerate(h) if v), default=0)
-            checks.append(_check("cm_regularity_h_degree",
-                                 "for Cohen-Macaulay quotients the regularity is the h-polynomial degree",
-                                 STATUS_PASS if reg == h_degree else STATUS_FAIL,
-                                 f"regularity {reg}, h-degree {h_degree}", field=fname))
-
-        # CM complexes are normal.
-        if not pure or not cm:
-            why = not_pure if not pure else f"not Cohen-Macaulay over {fname}"
-            checks.append(_check("cm_normal",
-                                 "Cohen-Macaulay complexes are normal",
-                                 STATUS_NA, why, field=fname))
-        else:
-            ok = report["normal"]
-            checks.append(_check("cm_normal",
-                                 "Cohen-Macaulay complexes are normal",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 f"normal = {ok}", field=fname))
-
-        # Flag + CM: non-revisiting dual paths exist and the ideal is Hirsch.
-        if not pure or not report["flag"] or not cm:
-            why = (not_pure if not pure
-                   else "nonface ideal not generated in degree 2" if not report["flag"]
-                   else f"not Cohen-Macaulay over {fname}")
-            checks.append(_check("flag_cm_nonrevisiting",
-                                 "flag Cohen-Macaulay complexes join facets by non-revisiting paths"
-                                 " and satisfy the Hirsch bound",
-                                 STATUS_NA, why, field=fname))
-        else:
-            missing = _nonrevisiting_gap(cx)
-            ok = missing is None and diam <= height
-            detail = (f"paths found for all {s * (s - 1) // 2} facet pairs,"
-                      f" diameter {_diam_value(diam)} <= height {height}"
-                      if ok else
-                      (f"no non-revisiting path between {missing[0]} and {missing[1]}"
-                       if missing else f"diameter {_diam_value(diam)} > height {height}"))
-            checks.append(_check("flag_cm_nonrevisiting",
-                                 "flag Cohen-Macaulay complexes join facets by non-revisiting paths"
-                                 " and satisfy the Hirsch bound",
-                                 STATUS_PASS if ok else STATUS_FAIL, detail, field=fname))
-
-        # Vertex-count bound from regularity for CM quotients.
-        if not pure or not cm or height is None or height < 1:
-            why = not_pure if not pure else (
-                f"not Cohen-Macaulay over {fname}" if not cm else "height 0")
-            checks.append(_check("cm_regularity_vertex_bound",
-                                 "CM quotients of height c and regularity r have at most"
-                                 " sum_i C(c+i-1, i) minimal primes",
-                                 STATUS_NA, why, field=fname))
-        else:
-            bound = graph_mod.regularity_vertex_bound(height, reg)
-            checks.append(_check("cm_regularity_vertex_bound",
-                                 "CM quotients of height c and regularity r have at most"
-                                 " sum_i C(c+i-1, i) minimal primes",
-                                 STATUS_PASS if s <= bound else STATUS_FAIL,
-                                 f"{s} facets <= bound {bound}", field=fname))
-
-        # Larman-type diameter bound for CM monomial quotients.
-        if not pure or not cm or n - height - 3 < 0 or height < 1:
-            why = (not_pure if not pure
-                   else f"not Cohen-Macaulay over {fname}" if not cm
-                   else f"n-c-3 = {n - height - 3} < 0" if n - height - 3 < 0
-                   else "height 0")
-            checks.append(_check("cm_larman_diameter_bound",
-                                 "CM monomial quotients satisfy diam <= 2^(n-c-3) * n",
-                                 STATUS_NA, why, field=fname))
-        else:
-            bound = graph_mod.larman_diameter_bound(n, height)
-            ok = diam != inf and diam <= bound
-            checks.append(_check("cm_larman_diameter_bound",
-                                 "CM monomial quotients satisfy diam <= 2^(n-c-3) * n",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 f"diameter {_diam_value(diam)} <= bound {bound}", field=fname))
-
-        # Small-case Hirsch guarantees.
-        cases = _small_hirsch_cases(report, fr, fname)
-        if not pure:
-            checks.append(_check("small_case_hirsch",
-                                 "small-case guarantees force the Hirsch bound",
-                                 STATUS_NA, not_pure, field=fname))
-        elif not cases:
-            checks.append(_check("small_case_hirsch",
-                                 "small-case guarantees force the Hirsch bound",
-                                 STATUS_NA, "no small case applies", field=fname))
-        else:
-            ok = report["hirsch"]["verdict"] == HirschVerdict.HIRSCH.value
-            checks.append(_check("small_case_hirsch",
-                                 "small-case guarantees force the Hirsch bound",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 "applicable: " + "; ".join(cases), field=fname))
-
-    # Field-independent checks on the dual graph.
-    if pure:
-        # Complete intersections (pairwise-disjoint minimal nonfaces) with
-        # minimal generator degree d have (d-1)c-connected dual graphs.
-        nonfaces = [set(nf) for nf in report["minimal_nonfaces"]]
-        disjoint = all(
-            not (a & b) for a, b in itertools.combinations(nonfaces, 2)
-        )
-        if nonfaces and disjoint:
-            d_min = min(len(nf) for nf in nonfaces)
-            level = (d_min - 1) * height
-            g = graph_mod.dual_graph(cx)
-            ok = level == 0 or graph_mod.is_k_connected(g, level)
-            checks.append(_check("complete_intersection_connectivity",
-                                 "complete intersections of height c with minimal generator"
-                                 " degree d have (d-1)c-connected dual graphs",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 f"(d-1)c = {level}, vertex connectivity {kappa}"))
-        else:
-            checks.append(_check("complete_intersection_connectivity",
-                                 "complete intersections of height c with minimal generator"
-                                 " degree d have (d-1)c-connected dual graphs",
-                                 STATUS_NA,
-                                 "nonface ideal is not a complete intersection"
-                                 if nonfaces else "the nonface ideal is zero"))
-        k = gen_degree
-        if k >= 1 and height and height >= 1:
-            bound = graph_mod.degree_vertex_bound(k, height)
-            checks.append(_check("generator_degree_vertex_bound",
-                                 "height-c ideals generated in degree <= k have at most k^c minimal primes",
-                                 STATUS_PASS if s <= bound else STATUS_FAIL,
-                                 f"{s} facets <= bound {bound} (k={k}, c={height})"))
-        else:
-            checks.append(_check("generator_degree_vertex_bound",
-                                 "height-c ideals generated in degree <= k have at most k^c minimal primes",
-                                 STATUS_NA, "the nonface ideal is zero"))
-
-        if s >= 2 and kappa and kappa >= 1:
-            bound_a, _ = graph_mod.menger_diameter_bounds(s, t, kappa)
-            _, bound_b = graph_mod.menger_diameter_bounds(s, t, lam)
-            ok = diam <= bound_a and diam <= bound_b
-            checks.append(_check("connectivity_diameter_bounds",
-                                 "connectivity bounds the diameter: floor((s-2)/k)+1 and floor(t/k)",
-                                 STATUS_PASS if ok else STATUS_FAIL,
-                                 f"diameter {_diam_value(diam)} <= {bound_a}, {bound_b}"))
-        else:
-            checks.append(_check("connectivity_diameter_bounds",
-                                 "connectivity bounds the diameter: floor((s-2)/k)+1 and floor(t/k)",
-                                 STATUS_NA, "dual graph disconnected or trivial"))
-
-        if height is not None and height >= 2 and gen_degree >= 1 and diam != inf:
-            bound = graph_mod.degree_diameter_bound(gen_degree, height)
-            checks.append(_check("degree_diameter_bound",
-                                 "connected height-c ideals generated in degree <= d have diam <= d^c - 2",
-                                 STATUS_PASS if diam <= bound else STATUS_FAIL,
-                                 f"diameter {diam} <= bound {bound}"))
-        else:
-            checks.append(_check("degree_diameter_bound",
-                                 "connected height-c ideals generated in degree <= d have diam <= d^c - 2",
-                                 STATUS_NA, "needs height >= 2 and a connected dual graph"))
-
-        g = graph_mod.dual_graph(cx)
-        witness = graph_mod.contains_forbidden_line_graph(g)
-        checks.append(_check("forbidden_pattern_screen",
-                             "dual graphs of pure complexes never contain the forbidden"
-                             " 6-vertex pattern as an induced subgraph",
-                             STATUS_PASS if witness is None else STATUS_FAIL,
-                             "pattern absent" if witness is None else f"witness {witness}"))
-    return checks
-
-
-def _nonrevisiting_gap(cx):
-    """First facet pair with no non-revisiting dual path, or None."""
-    facets = cx.facet_labels()
-    for f1, f2 in itertools.combinations(facets, 2):
-        if graph_mod.non_revisiting_path(cx, f1, f2) is None:
-            return (",".join(map(str, f1)), ",".join(map(str, f2)))
-    return None
-
-
-def _small_hirsch_cases(report, fr, fname) -> list[str]:
-    cases = []
-    if report["n_facets"] == 1:
-        cases.append("prime ideal (single facet)")
-    if report["dimension"] == 0:
-        cases.append("finite set of points")
-    if report["height"] == 1:
-        cases.append("hypersurface (height 1)")
-    if fr["cohen_macaulay"] and fr["regularity"] <= 1:
-        cases.append(f"Cohen-Macaulay of regularity <= 1 over {fname}")
-    if report["n_vertices"] <= 3:
-        cases.append("at most 3 variables")
-    if (report["height"] == 2 and report["max_generator_degree"] <= 2
-            and fr["cohen_macaulay"]):
-        cases.append(f"height-2 quadratic Cohen-Macaulay over {fname}")
-    if fr["gorenstein"] and fr["regularity"] == 2:
-        cases.append(f"Gorenstein of regularity 2 over {fname}")
-    return cases
-
-
 # -- arrangements ---------------------------------------------------------------
+
+
+def _verify_certificate(g, arr, rep):
+    rc = rep.regularity_check
+    cut = f"; cut {list(map(str, rc.cut))}" if rc.cut else ""
+    return rc.passed, f"caller-certified regularity {rc.required}: {rc.note}{cut}"
+
+
+def _verify_complete(g, *_objects):
+    ok = g.is_complete()
+    return ok, f"complete = {ok}"
+
+
+def _arrangement_small_cases(arr, rep) -> list[str]:
+    cases = [
+        (arr.n_components == 1, "prime ideal"),
+        (rep.common_height == 1, "hypersurface"),
+        (rep.common_height == rep.n_vars - 1, "finite set of points"),
+        (rep.n_vars <= 3, "at most 3 variables"),
+    ]
+    return [case for holds, case in cases if holds]
+
+
+#: Objects: the dual graph (None when mixed), the arrangement and its
+#: ``ArrangementReport``.
+_ARRANGEMENT_CHECKS = (
+    Check("multiplicity_component_count",
+          "for subspace arrangements the multiplicity is the number of components",
+          lambda g, arr, rep: _unless(rep.unmixed, OMIT),
+          lambda g, arr, rep: (rep.multiplicity == arr.n_components,
+                               f"{rep.multiplicity} = {arr.n_components}")),
+    Check("regularity_connectivity",
+          "Gorenstein arrangements of regularity r have r-connected dual graphs",
+          lambda g, arr, rep: _unless(rep.unmixed, "arrangement is not height-unmixed")
+          or _unless(rep.regularity_check is not None, "no regularity certificate supplied"
+                     " (Gorensteinness of arrangements is not computed here)"),
+          _verify_certificate),
+    Check("height_one_complete", "height-1 ideals have complete dual graphs",
+          lambda g, arr, rep: _unless(rep.common_height == 1, OMIT),
+          _verify_complete),
+    Check("points_complete", "ideals of finite point sets have complete dual graphs",
+          lambda g, arr, rep: _unless(rep.common_height == rep.n_vars - 1, OMIT),
+          _verify_complete),
+    Check("small_case_hirsch", _SMALL_CASES,
+          lambda g, arr, rep: _unless(rep.unmixed, OMIT) or _unless(
+              _arrangement_small_cases(arr, rep), "no small case applies"),
+          lambda g, arr, rep: _small_case_verdict(g, rep.common_height,
+                                                  _arrangement_small_cases(arr, rep))),
+    _MENGER,
+)
 
 
 def build_arrangement_report(
@@ -451,7 +482,8 @@ def build_arrangement_report(
     rep = arr_mod.analyze_arrangement(
         arr, regularity_certificate=regularity_certificate, ds_subset=ds_subset
     )
-    out = {
+    g = rep.dual_graph
+    return {
         "kind": "arrangement",
         "input": descriptor,
         "n_vars": rep.n_vars,
@@ -461,104 +493,57 @@ def build_arrangement_report(
         "height": rep.common_height,
         "multiplicity": rep.multiplicity,
         "sections_applied": sections_applied,
-        "dual_graph": _graph_stats(rep.dual_graph) if rep.dual_graph else None,
-        "hirsch": None,
+        "dual_graph": None if g is None else _graph_stats(g),
+        "hirsch": None if g is None else {
+            "diameter": _diam_value(rep.diameter),
+            "height": rep.common_height,
+            "verdict": rep.verdict.value,
+        },
         "derksen_sidman_bound": rep.derksen_sidman,
-        "checks": [],
-        "warnings": [],
+        "checks": _run_checks(_ARRANGEMENT_CHECKS, (g, arr, rep)),
+        "warnings": [] if rep.unmixed else ["arrangement is mixed: dual graph undefined"],
     }
-    checks = out["checks"]
-    if not rep.unmixed:
-        out["warnings"].append("arrangement is mixed: dual graph undefined")
-        checks.append(_check("regularity_connectivity",
-                             "Gorenstein arrangements of regularity r have r-connected dual graphs",
-                             STATUS_NA, "arrangement is not height-unmixed"))
-        return out
-
-    out["hirsch"] = {
-        "diameter": _diam_value(rep.diameter),
-        "height": rep.common_height,
-        "verdict": rep.verdict.value,
-    }
-    checks.append(_check("multiplicity_component_count",
-                         "for subspace arrangements the multiplicity is the number of components",
-                         STATUS_PASS if rep.multiplicity == arr.n_components else STATUS_FAIL,
-                         f"{rep.multiplicity} = {arr.n_components}"))
-    if rep.regularity_check is not None:
-        rc = rep.regularity_check
-        checks.append(_check("regularity_connectivity",
-                             "Gorenstein arrangements of regularity r have r-connected dual graphs",
-                             STATUS_PASS if rc.passed else STATUS_FAIL,
-                             f"caller-certified regularity {rc.required}: {rc.note}"
-                             + (f"; cut {list(map(str, rc.cut))}" if rc.cut else "")))
-    else:
-        checks.append(_check("regularity_connectivity",
-                             "Gorenstein arrangements of regularity r have r-connected dual graphs",
-                             STATUS_NA,
-                             "no regularity certificate supplied"
-                             " (Gorensteinness of arrangements is not computed here)"))
-    if rep.common_height == 1:
-        ok = rep.dual_graph.is_complete()
-        checks.append(_check("height_one_complete",
-                             "height-1 ideals have complete dual graphs",
-                             STATUS_PASS if ok else STATUS_FAIL,
-                             f"complete = {ok}"))
-    if rep.common_height == rep.n_vars - 1:
-        ok = rep.dual_graph.is_complete()
-        checks.append(_check("points_complete",
-                             "ideals of finite point sets have complete dual graphs",
-                             STATUS_PASS if ok else STATUS_FAIL,
-                             f"complete = {ok}"))
-    small = []
-    if arr.n_components == 1:
-        small.append("prime ideal")
-    if rep.common_height == 1:
-        small.append("hypersurface")
-    if rep.common_height == rep.n_vars - 1:
-        small.append("finite set of points")
-    if rep.n_vars <= 3:
-        small.append("at most 3 variables")
-    if small:
-        ok = out["hirsch"]["verdict"] == HirschVerdict.HIRSCH.value
-        checks.append(_check("small_case_hirsch",
-                             "small-case guarantees force the Hirsch bound",
-                             STATUS_PASS if ok else STATUS_FAIL,
-                             "applicable: " + "; ".join(small)))
-    else:
-        checks.append(_check("small_case_hirsch",
-                             "small-case guarantees force the Hirsch bound",
-                             STATUS_NA, "no small case applies"))
-    dual = out["dual_graph"]
-    if dual["n_vertices"] >= 2 and dual["vertex_connectivity"] >= 1:
-        s, t = dual["n_vertices"], dual["n_edges"]
-        bound_a, _ = graph_mod.menger_diameter_bounds(s, t, dual["vertex_connectivity"])
-        _, bound_b = graph_mod.menger_diameter_bounds(s, t, dual["edge_connectivity"])
-        diam = rep.diameter
-        ok = diam <= bound_a and diam <= bound_b
-        checks.append(_check("connectivity_diameter_bounds",
-                             "connectivity bounds the diameter: floor((s-2)/k)+1 and floor(t/k)",
-                             STATUS_PASS if ok else STATUS_FAIL,
-                             f"diameter {_diam_value(diam)} <= {bound_a}, {bound_b}"))
-    return out
 
 
 # -- lines ------------------------------------------------------------------------
 
 
+#: Objects: the dual graph, the line arrangement, and its ``CurveReport`` or
+#: the ``HypothesisError`` that ``canonical_hirsch_verdict`` raised.
+_LINES_CHECKS = (
+    Check("canonical_hirsch",
+          "canonically embedded triple-point-free line arrangements"
+          " satisfy diam <= height = genus - 2",
+          lambda g, arr, curve: _violated(curve) or _unless(
+              curve.verdict != lines_mod.VERDICT_NOT_EMBEDDABLE,
+              f"dual graph is only {curve.edge_connectivity}-edge-connected:"
+              " not canonically embeddable"),
+          lambda g, arr, curve: (
+              curve.verdict == lines_mod.VERDICT_HIRSCH,
+              f"diameter {_diam_value(curve.diameter)} vs height {curve.height}"
+              f" ({curve.branch} branch)")),
+    Check("trivalent_three_connected", "3-edge-connected trivalent graphs are 3-connected",
+          lambda g, arr, curve: _unless(
+              not _violated(curve) and curve.branch == "trivalent", OMIT),
+          lambda g, arr, curve: (curve.trivalent_three_connected,
+                                 f"3-connected = {curve.trivalent_three_connected}")),
+)
+
+
 def build_lines_report(arr, descriptor: str = "lines") -> dict:
-    pairs = arr.intersection_pairs()
     ok, pt = lines_mod.no_triple_points(arr)
+    g = lines_mod.dual_graph(arr)
     out = {
         "kind": "lines",
         "input": descriptor,
         "ambient_dim": arr.ambient_dim,
         "n_lines": arr.n_lines,
-        "n_intersections": len(pairs),
+        "n_intersections": len(arr.intersection_pairs()),
         "triple_point_free": ok,
         "offending_point": None if ok else list(pt),
         "genus": None,
         "height": None,
-        "dual_graph": _graph_stats(lines_mod.dual_graph(arr)),
+        "dual_graph": _graph_stats(g),
         "three_edge_connected": None,
         "verdict": None,
         "branch": None,
@@ -566,104 +551,79 @@ def build_lines_report(arr, descriptor: str = "lines") -> dict:
         "checks": [],
         "warnings": [],
     }
-    checks = out["checks"]
-    statement = ("canonically embedded triple-point-free line arrangements"
-                 " satisfy diam <= height = genus - 2")
     try:
-        report = lines_mod.canonical_hirsch_verdict(arr)
+        curve = lines_mod.canonical_hirsch_verdict(arr)
     except HypothesisError as exc:
+        curve = exc
         out["warnings"].append(str(exc))
         if ok:
             out["genus"] = lines_mod.genus(arr)
             out["height"] = out["genus"] - 2
-        checks.append(_check("canonical_hirsch", statement, STATUS_NA, str(exc)))
-        return out
-    out["genus"] = report.genus
-    out["height"] = report.height
-    out["three_edge_connected"] = report.three_edge_connected
-    out["verdict"] = report.verdict
-    out["branch"] = report.branch
-    out["trivalent_three_connected"] = report.trivalent_three_connected
-    if report.verdict == lines_mod.VERDICT_NOT_EMBEDDABLE:
-        checks.append(_check("canonical_hirsch", statement, STATUS_NA,
-                             f"dual graph is only {report.edge_connectivity}-edge-connected:"
-                             " not canonically embeddable"))
     else:
-        ok_h = report.verdict == lines_mod.VERDICT_HIRSCH
-        checks.append(_check("canonical_hirsch", statement,
-                             STATUS_PASS if ok_h else STATUS_FAIL,
-                             f"diameter {_diam_value(report.diameter)} vs height {report.height}"
-                             f" ({report.branch} branch)"))
-        if report.branch == "trivalent":
-            checks.append(_check("trivalent_three_connected",
-                                 "3-edge-connected trivalent graphs are 3-connected",
-                                 STATUS_PASS if report.trivalent_three_connected else STATUS_FAIL,
-                                 f"3-connected = {report.trivalent_three_connected}"))
+        out.update(
+            genus=curve.genus,
+            height=curve.height,
+            three_edge_connected=curve.three_edge_connected,
+            verdict=curve.verdict,
+            branch=curve.branch,
+            trivalent_three_connected=curve.trivalent_three_connected,
+        )
+    out["checks"] = _run_checks(_LINES_CHECKS, (g, arr, curve))
     return out
 
 
 # -- graphs -------------------------------------------------------------------------
 
 
+def _verify_line_pattern(g, canonical):
+    if graph_mod.contains_forbidden_line_graph(g) is None:
+        return True, ("pattern absent: realizability unknown"
+                      " (only the necessary condition is checked)")
+    return False, ("contains the forbidden 6-vertex pattern: not realizable as the"
+                   " dual graph of a line arrangement or of a pure simplicial complex")
+
+
+#: Objects: the graph, and its ``CanonicalGraphCheck`` or the
+#: ``HypothesisError`` that ``check_canonical_graph`` raised.
+_GRAPH_CHECKS = (
+    Check("forbidden_pattern_screen",
+          "dual graphs of line arrangements never contain the forbidden"
+          " 6-vertex pattern as an induced subgraph",
+          lambda g, canonical: None,
+          _verify_line_pattern),
+    Check("canonical_graph_diameter",
+          "3-edge-connected graphs on s >= 4 vertices modelling canonical"
+          " curves satisfy diam <= t - s - 1",
+          lambda g, canonical: _violated(canonical),
+          lambda g, canonical: (
+              canonical.passed,
+              f"diameter {_diam_value(canonical.diameter)} vs t-s-1 = {canonical.height}"
+              f" ({canonical.branch} branch)")),
+    _MENGER,
+)
+
+
 def build_graph_report(g: Graph, descriptor: str = "graph") -> dict:
-    out = {
+    witness = graph_mod.contains_forbidden_line_graph(g)
+    try:
+        canonical = lines_mod.check_canonical_graph(g)
+    except HypothesisError as exc:
+        canonical = exc
+    return {
         "kind": "graph",
         "input": descriptor,
         "n_vertices": g.n,
         "n_edges": g.m,
         "min_degree": g.min_degree() if g.n else None,
         "diameter": _diam_value(graph_mod.diameter(g)) if g.n else None,
-        "vertex_connectivity": None,
-        "edge_connectivity": None,
-        "forbidden_subgraph_witness": None,
-        "line_realizability": "unknown",
-        "checks": [],
+        "vertex_connectivity": _kappa(g),
+        "edge_connectivity": _lambda(g),
+        "forbidden_subgraph_witness":
+            None if witness is None else {str(k): str(v) for k, v in witness.items()},
+        "line_realizability": "unknown" if witness is None else "not_realizable",
+        "checks": _run_checks(_GRAPH_CHECKS, (g, canonical)),
         "warnings": [],
     }
-    if g.n >= 2:
-        kappa, _ = graph_mod.vertex_connectivity(g)
-        lam, _ = graph_mod.edge_connectivity(g)
-        out["vertex_connectivity"] = kappa
-        out["edge_connectivity"] = lam
-    checks = out["checks"]
-    witness = graph_mod.contains_forbidden_line_graph(g)
-    if witness is not None:
-        out["forbidden_subgraph_witness"] = {str(k): str(v) for k, v in witness.items()}
-        out["line_realizability"] = "not_realizable"
-        detail = ("contains the forbidden 6-vertex pattern: not realizable as the"
-                  " dual graph of a line arrangement or of a pure simplicial complex")
-        status = STATUS_FAIL
-    else:
-        detail = ("pattern absent: realizability unknown"
-                  " (only the necessary condition is checked)")
-        status = STATUS_PASS
-    checks.append(_check("forbidden_pattern_screen",
-                         "dual graphs of line arrangements never contain the forbidden"
-                         " 6-vertex pattern as an induced subgraph",
-                         status, detail))
-    try:
-        cg = lines_mod.check_canonical_graph(g)
-        checks.append(_check("canonical_graph_diameter",
-                             "3-edge-connected graphs on s >= 4 vertices modelling canonical"
-                             " curves satisfy diam <= t - s - 1",
-                             STATUS_PASS if cg.passed else STATUS_FAIL,
-                             f"diameter {_diam_value(cg.diameter)} vs t-s-1 = {cg.height}"
-                             f" ({cg.branch} branch)"))
-    except HypothesisError as exc:
-        checks.append(_check("canonical_graph_diameter",
-                             "3-edge-connected graphs on s >= 4 vertices modelling canonical"
-                             " curves satisfy diam <= t - s - 1",
-                             STATUS_NA, str(exc)))
-    if g.n >= 2 and out["vertex_connectivity"] >= 1:
-        bound_a, _ = graph_mod.menger_diameter_bounds(g.n, g.m, out["vertex_connectivity"])
-        _, bound_b = graph_mod.menger_diameter_bounds(g.n, g.m, out["edge_connectivity"])
-        diam = graph_mod.diameter(g)
-        ok = diam <= bound_a and diam <= bound_b
-        checks.append(_check("connectivity_diameter_bounds",
-                             "connectivity bounds the diameter: floor((s-2)/k)+1 and floor(t/k)",
-                             STATUS_PASS if ok else STATUS_FAIL,
-                             f"diameter {_diam_value(diam)} <= {bound_a}, {bound_b}"))
-    return out
 
 
 # -- text rendering ------------------------------------------------------------------

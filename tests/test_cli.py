@@ -221,3 +221,37 @@ def test_analyze_complex_full_triangle(capsys, tmp_path):
     assert data["height"] == 0
     larman = [c for c in data["checks"] if c["id"] == "cm_larman_diameter_bound"]
     assert [(c["status"], c["detail"]) for c in larman] == [("not_applicable", "height 0")]
+
+
+_LINE = {"points": [[1, 0, 0], [0, 1, 0]]}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("analyze-arrangement", {"variables": 2, "components": [[["1/0", 1]]]}),
+    ("analyze-arrangement", {"variables": 2, "components": [[["abc", 1]]]}),
+    ("analyze-arrangement", {"variables": 2, "components": 5}),
+    ("analyze-arrangement", {"variables": 1, "components": [[5]]}),
+    ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [["1/0", 0, 0], [0, 1, 0]]}]}),
+    ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [["x", 0, 0], [0, 1, 0]]}]}),
+    ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [1, 2]}, _LINE]}),
+    ("analyze-lines", {"ambient_dim": 2, "lines": 5}),
+], ids=["zero-denominator-coefficient", "malformed-coefficient", "components-not-a-list",
+        "form-not-a-list", "zero-denominator-coordinate", "malformed-coordinate",
+        "point-not-a-list", "lines-not-a-list"])
+def test_malformed_json_is_an_input_error(capsys, tmp_path, command, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, str(path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_regularity_certificate_zero_on_the_zero_ideal(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"variables": 3, "components": [[]]}))
+    code, out, err = run(capsys, "analyze-arrangement", str(path),
+                         "--regularity-certificate", "0", "--format", "json")
+    assert code == 0, err
+    checks = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+    assert checks["regularity_connectivity"] == "pass"

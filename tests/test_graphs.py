@@ -12,7 +12,6 @@ from dualgraphs.graphs import (
     Graph,
     HirschVerdict,
     complete_graph,
-    compute_bound,
     contains_forbidden_line_graph,
     degree_diameter_bound,
     degree_vertex_bound,
@@ -214,11 +213,6 @@ def test_bound_calculators():
     assert degree_diameter_bound(2, 3) == 6
     with pytest.raises(InputError):
         larman_diameter_bound(4, 2)
-    assert compute_bound("regularity_vertex", {"c": 3, "r": 2}) == 10
-    with pytest.raises(UnknownFamilyError):
-        compute_bound("nope", {})
-    with pytest.raises(InputError):
-        compute_bound("larman_diameter", {"n": 5})
 
 
 def test_generate_graph_families():
