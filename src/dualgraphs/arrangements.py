@@ -341,7 +341,7 @@ def arrangement_from_json_dict(data: dict) -> SubspaceArrangement:
         raise InputError(
             'arrangement JSON needs "variables" and "components"'
         ) from None
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise InputError('"variables" must be an integer')
     if not isinstance(comps, list) or not all(isinstance(c, list) for c in comps):
         raise InputError('"components" must be a list of lists of forms')

@@ -12,7 +12,9 @@ derived complexes (links of facets, restrictions to the empty set) may
 legitimately be the empty complex.
 
 All complexes are immutable and hashable; operations never mutate their
-arguments, so values can be shared freely across threads.
+arguments, so values can be shared freely across threads. The one mutable
+part, ``memo``, only caches results derived from the value: two threads
+filling it at once may compute a result twice, never a different one.
 """
 
 from __future__ import annotations
@@ -35,15 +37,6 @@ FVector = tuple[int, ...]
 
 #: h-vector: (h_0, ..., h_{d+1}) of the quotient by the nonface ideal.
 HVector = tuple[int, ...]
-
-
-def _submasks(mask: int):
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
 
 
 def _maximal_masks(masks) -> list[int]:
@@ -197,12 +190,14 @@ class SimplicialComplex:
     @cached_property
     def faces(self) -> frozenset[int]:
         """All faces as masks, the empty face included."""
-        out: set[int] = set()
-        for f in self.facets:
-            for s in _submasks(f):
-                out.add(s)
         if self.is_void:
             return frozenset()
+        out = {0}
+        for f in self.facets:
+            s = f
+            while s:  # every nonempty submask of f, by the (s - 1) & f walk
+                out.add(s)
+                s = (s - 1) & f
         return frozenset(out)
 
     @cached_property
@@ -220,6 +215,13 @@ class SimplicialComplex:
                 mm &= mm - 1
             groups[len(face)].append(tuple(face))
         return tuple(tuple(sorted(g)) for g in groups)
+
+    @cached_property
+    def memo(self) -> dict:
+        """Results other layers derive from this complex, under keys those
+        layers choose (``homology`` keeps its Betti profiles and link sweeps
+        here). They live and die with this instance."""
+        return {}
 
     @cached_property
     def cone_mask(self) -> int:
@@ -333,7 +335,10 @@ class SimplicialComplex:
         return SimplicialComplex._from_parent(self, masks, maximal=False)
 
     def core(self) -> "SimplicialComplex":
-        """Restriction to the vertices that are not in every facet."""
+        """Restriction to the vertices that are not in every facet; the
+        complex itself when no vertex is in every facet."""
+        if self.cone_mask == 0:
+            return self
         full = (1 << self.n_vertices) - 1
         return self.restrict_mask(full & ~self.cone_mask)
 

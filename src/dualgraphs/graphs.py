@@ -440,33 +440,39 @@ def contains_forbidden_line_graph(g: Graph):
         return None
     # Most-constrained first: pattern vertices by descending degree.
     order = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
-    host_vertices = list(g.vertices)
+    wanted = [[pattern.has_edge(p, q) for q in order] for p in order]
+    adj = [set(ns) for ns in g._adj_lists()]
+    images: list[int] = []
 
-    def extend(pos: int, mapping: dict):
-        if pos == len(order):
-            return dict(mapping)
-        p = order[pos]
-        for h in host_vertices:
-            if h in mapping.values():
-                continue
-            if g.degree(h) < pattern.degree(p):
-                continue
-            ok = True
-            for q, hq in mapping.items():
-                if pattern.has_edge(p, q) != g.has_edge(h, hq):
-                    ok = False
+    def extend(cands):
+        # cands[i]: host indices, in host order, that order[len(images) + i]
+        # may still take -- unused, of large enough degree and consistent
+        # with every placed vertex. A placement that empties any of them is
+        # skipped, so the first embedding found is the one plain
+        # backtracking in host order finds first.
+        if not cands:
+            return True
+        pos = len(images)
+        for h in cands[0]:
+            nh = adj[h]
+            rest = []
+            for i, cand in enumerate(cands[1:], start=pos + 1):
+                cand = [c for c in cand if c != h and (c in nh) == wanted[pos][i]]
+                if not cand:
                     break
-            if ok:
-                mapping[p] = h
-                found = extend(pos + 1, mapping)
-                if found:
-                    return found
-                del mapping[p]
-        return None
+                rest.append(cand)
+            else:
+                images.append(h)
+                if extend(rest):
+                    return True
+                images.pop()
+        return False
 
-    witness = extend(0, {})
-    if witness is None:
+    degrees = [len(ns) for ns in adj]
+    start = [[h for h in range(g.n) if degrees[h] >= pattern.degree(p)] for p in order]
+    if not extend(start):
         return None
+    witness = {p: g.vertices[h] for p, h in zip(order, images)}
     for a, b in itertools.combinations(pattern.vertices, 2):
         if pattern.has_edge(a, b) != g.has_edge(witness[a], witness[b]):
             raise AssertionError("induced-subgraph witness failed re-verification")

@@ -6,9 +6,24 @@ homology and the empty complex {emptyset} has reduced Betti number 1 there.
 
 The coefficient field is a first-class parameter: Cohen-Macaulayness,
 Gorensteinness, and regularity genuinely depend on it (the 6-vertex real
-projective plane separates Q from GF(2)). Betti profiles are memoized per
-(complex, field), which is what makes the face sweeps below affordable:
-links repeat heavily and complexes hash by value.
+projective plane separates Q from GF(2)).
+
+Betti profiles come from boundary ranks. Over GF(2) each boundary column is
+packed into a Python int, one bit per lower face, and the columns are
+reduced by XOR (``linalg.rank_gf2_columns``); odd primes use sparse
+elimination mod p. A Q profile is read off the GF(2) profile whenever that
+has at most one nonzero entry: by universal coefficients
+b~_i(Q) <= b~_i(GF(2)) for every i, and both profiles alternate-sum to the
+reduced Euler characteristic. Otherwise -- 2-torsion may be present, as in
+the projective plane -- the Q ranks are computed exactly over the integers.
+
+Results are kept on the complex being analysed (``SimplicialComplex.memo``),
+per field: the profile of each link under its face mask in the complex, the
+profile of each restriction the regularity sweep meets under its vertex
+mask, and the Cohen-Macaulay and homology-sphere verdicts of the single
+link sweep that answers both. A Q sweep reads the GF(2) link profiles, so a
+report over Q and GF(2) builds each link once. Nothing is cached at module
+level: the results die with the complex.
 
 Torsion is invisible by design -- every question this package asks
 (vanishing below the top dimension, top Betti equal to one, Hochster-style
@@ -18,11 +33,20 @@ restriction sweeps) is a field question answered by ranks of boundary maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import SimplicialComplex, _maximal_masks
 from .errors import NonPureComplexError, ResourceCapError, VoidComplexError
-from .linalg import QQ, FieldSpec, RationalMatrix, rank_int_sparse, rank_mod_p_sparse
+from .linalg import (
+    QQ,
+    FieldSpec,
+    RationalMatrix,
+    rank_gf2_columns,
+    rank_int_sparse,
+    rank_mod_p_sparse,
+)
+
+#: GF(2): every Betti profile over Q is first computed over it.
+GF2 = FieldSpec(2)
 
 #: Default vertex cap for the regularity sweep (2^n restrictions).
 DEFAULT_MAX_HOCHSTER_VERTICES = 20
@@ -94,36 +118,108 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> RationalMatrix:
     return RationalMatrix(dense, cols=n_cols)
 
 
-def _boundary_rank(cx: SimplicialComplex, card: int, field: FieldSpec) -> int:
-    if card <= 0 or card > cx.dimension + 1:
-        return 0
-    _, _, rows = _boundary_sparse(cx, card)
-    if field.is_rationals:
-        return rank_int_sparse(rows)
-    return rank_mod_p_sparse(rows, field.p)
-
-
-@lru_cache(maxsize=None)
-def _betti(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
-    groups = cx.faces_by_card
+def _ranks_profile(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
+    """Reduced Betti numbers from the boundary ranks over ``field``."""
     top = cx.dimension + 1
     ranks = [0] * (top + 2)
-    for card in range(1, top + 1):
-        ranks[card] = _boundary_rank(cx, card, field)
-    return tuple(
-        len(groups[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)
-    )
+    if field.p == 2:
+        # Columns straight from the face masks: bit r of the column of a
+        # face is set when the r-th face one vertex smaller lies in it.
+        groups: list = [[] for _ in range(top + 1)]
+        for m in cx.faces:
+            groups[m.bit_count()].append(m)
+        row_bit = {0: 1}
+        for card in range(1, top + 1):
+            columns = []
+            for face in groups[card]:
+                col = 0
+                rest = face
+                while rest:
+                    vertex = rest & -rest
+                    col |= row_bit[face ^ vertex]
+                    rest ^= vertex
+                columns.append(col)
+            ranks[card] = rank_gf2_columns(columns)
+            row_bit = {face: 1 << r for r, face in enumerate(groups[card])}
+    else:
+        groups = cx.faces_by_card
+        for card in range(1, top + 1):
+            _, _, rows = _boundary_sparse(cx, card)
+            if field.is_rationals:
+                ranks[card] = rank_int_sparse(rows)
+            else:
+                ranks[card] = rank_mod_p_sparse(rows, field.p)
+    return tuple(len(groups[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+def _certified_by_gf2(mod2: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The Q profile when the GF(2) profile alone determines it, else None.
+
+    By universal coefficients b~_i(Q) <= b~_i(GF(2)) for every i, and both
+    profiles alternate-sum to the reduced Euler characteristic. With at most
+    one nonzero GF(2) entry the Q profile therefore equals it.
+    """
+    return mod2 if sum(1 for b in mod2 if b) <= 1 else None
+
+
+def _kept_profile(cx: SimplicialComplex, table: str, mask: int, field: FieldSpec,
+                  build) -> tuple[int, ...]:
+    """Profile over ``field`` of the subcomplex ``build(cx, mask)``, kept on
+    ``cx`` under (table, field) and ``mask``.
+
+    ``build`` returns None for a subcomplex known to be acyclic over every
+    field; its profile is then ``()``. A Q profile comes from the GF(2)
+    profile of the same subcomplex when that certifies it, and from exact
+    integer ranks otherwise.
+    """
+    store = cx.memo.setdefault((table, field), {})
+    bt = store.get(mask)
+    if bt is None:
+        if field.is_rationals:
+            bt = _certified_by_gf2(_kept_profile(cx, table, mask, GF2, build))
+        if bt is None:
+            sub = build(cx, mask)
+            bt = () if sub is None else _ranks_profile(sub, field)
+        store[mask] = bt
+    return bt
+
+
+def _link_of(cx: SimplicialComplex, mask: int) -> SimplicialComplex:
+    return cx if mask == 0 else cx.link_mask(mask)
+
+
+def _link_betti(cx: SimplicialComplex, mask: int, field: FieldSpec) -> tuple[int, ...]:
+    return _kept_profile(cx, "link", mask, field, _link_of)
 
 
 def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = QQ) -> BettiProfile:
     """Reduced Betti numbers b~_i = nullity(d_i) - rank(d_{i+1})."""
     if cx.is_void:
         raise VoidComplexError("the void complex has no homology")
-    return BettiProfile(cx, field, _betti(cx, field))
+    # cx is the link of its own empty face
+    return BettiProfile(cx, field, _link_betti(cx, 0, field))
 
 
-def _link_betti(cx: SimplicialComplex, mask: int, field: FieldSpec) -> tuple[int, ...]:
-    return _betti(cx.link_mask(mask), field)
+def _reisner_sweep(cx: SimplicialComplex, field: FieldSpec) -> tuple[bool, bool]:
+    """(Cohen-Macaulay, homology sphere) over ``field`` from one pass over
+    the links, kept on ``cx``.
+
+    Each link profile bt lists b~_-1 .. b~_top; the entries below the top,
+    bt[:-1], must vanish for Cohen-Macaulayness, and a sphere also needs
+    bt[-1] == 1. The pass stops at the first link that is not acyclic below
+    its top, which rules out both.
+    """
+    key = ("reisner", field)
+    if key not in cx.memo:
+        cm = sphere = True
+        for mask in sorted(cx.faces):
+            bt = _link_betti(cx, mask, field)
+            if any(bt[:-1]):
+                cm = sphere = False
+                break
+            sphere = sphere and bt[-1] == 1
+        cx.memo[key] = (cm, sphere)
+    return cx.memo[key]
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = QQ) -> bool:
@@ -131,13 +227,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = QQ) -> bool:
     vanishing reduced homology below its own dimension."""
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
-    for mask in sorted(cx.faces):
-        bt = _link_betti(cx, mask, field)
-        # bt[k] is b~_{k-1}; entries strictly below the top dimension are
-        # bt[0..len-2], and all of them must vanish.
-        if any(bt[:-1]):
-            return False
-    return True
+    return _reisner_sweep(cx, field)[0]
 
 
 def is_homology_sphere(cx: SimplicialComplex, field: FieldSpec = QQ) -> bool:
@@ -147,13 +237,7 @@ def is_homology_sphere(cx: SimplicialComplex, field: FieldSpec = QQ) -> bool:
         raise VoidComplexError("the void complex is not classified")
     if not cx.is_pure:
         raise NonPureComplexError("homology-sphere test requires a pure complex")
-    if not is_cohen_macaulay(cx, field):
-        return False
-    for mask in sorted(cx.faces):
-        bt = _link_betti(cx, mask, field)
-        if bt[-1] != 1 or any(bt[:-1]):
-            return False
-    return True
+    return _reisner_sweep(cx, field)[1]
 
 
 def is_gorenstein(cx: SimplicialComplex, field: FieldSpec = QQ) -> bool:
@@ -203,31 +287,19 @@ def _facets_strongly_connected(facets: list[int]) -> bool:
     return len(seen) == k
 
 
-def _restriction_top_index(
-    cx: SimplicialComplex, w_mask: int, field: FieldSpec
-) -> int | None:
-    """Largest i with b~_{i-1}(cx|_W) != 0, or None when all vanish.
-
-    Cheap skips first: restrictions that are simplices or cones have no
-    reduced homology over any field.
-    """
-    if w_mask == 0:
-        return 0  # the empty restriction has b~_{-1} = 1
+def _restriction(cx: SimplicialComplex, w_mask: int) -> SimplicialComplex | None:
+    """The induced subcomplex on ``w_mask``, or None when it is a simplex or
+    a cone: cheap skips, since those have no reduced homology over any
+    field."""
     if cx.has_face_mask(w_mask):
         return None  # a face restricts to a full simplex
-    restricted = {f & w_mask for f in cx.facets}
-    maximal = _maximal_masks(restricted)
+    maximal = _maximal_masks({f & w_mask for f in cx.facets})
     common = maximal[0]
     for m in maximal[1:]:
         common &= m
     if common:
         return None  # cone: contractible
-    sub = SimplicialComplex._from_parent(cx, maximal, maximal=True)
-    bt = _betti(sub, field)
-    for k in range(len(bt) - 1, -1, -1):
-        if bt[k]:
-            return k
-    return None
+    return SimplicialComplex._from_parent(cx, maximal, maximal=True)
 
 
 def regularity(
@@ -241,10 +313,14 @@ def regularity(
 
     The sweep visits all 2^n subsets (Gray-code order), so it refuses to run
     past ``max_vertices`` -- raise the cap explicitly to accept the blowup.
-    On Cohen-Macaulay input the result is cross-checked against the
-    h-polynomial degree; pass ``cross_check_cm=False`` to skip the Reisner
-    sweep that check needs (callers can compare against the h-degree
-    themselves when the CM status is already known).
+    Simplices and cones are skipped; every other restriction's profile is
+    kept on ``cx``, so a second field's sweep reuses the GF(2) profiles. The
+    witness is the first subset in Gray-code order attaining the maximum,
+    and it re-verifies on a freshly built restriction, apart from the kept
+    profiles. On Cohen-Macaulay input the result is cross-checked against
+    the h-polynomial degree; pass ``cross_check_cm=False`` to skip that
+    check (its Reisner sweep is kept on ``cx`` and shared with
+    ``is_cohen_macaulay``).
     """
     if cx.is_void:
         raise VoidComplexError("the void complex has no regularity")
@@ -258,8 +334,9 @@ def regularity(
     best_mask = 0
     for k in range(1, 1 << n):
         w = k ^ (k >> 1)
-        top = _restriction_top_index(cx, w, field)
-        if top is not None and top > best:
+        bt = _kept_profile(cx, "restriction", w, field, _restriction)
+        top = max((i for i, b in enumerate(bt) if b), default=0)
+        if top > best:
             best = top
             best_mask = w
     # The witness must re-verify against the full Betti computation.

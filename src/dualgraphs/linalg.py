@@ -7,7 +7,9 @@ and reduced by fraction-free (Bareiss) elimination; sparse integer matrices
 first go through a unit-pivot elimination pass, which removes the bulk of
 the rank without any coefficient growth and leaves Bareiss only a small
 dense remainder (for simplicial boundary matrices the remainder is almost
-always empty). Over GF(p) entries are reduced mod p and eliminated directly.
+always empty). Over GF(p) entries are reduced mod p and eliminated directly;
+over GF(2) columns packed into Python ints are reduced by XOR
+(``rank_gf2_columns``).
 
 All functions are pure and deterministic: pivots are chosen by a fixed rule,
 never randomly.
@@ -84,10 +86,11 @@ def parse_field(text: str) -> FieldSpec:
 def parse_rational(x, what: str) -> Fraction:
     """An exact rational from an int, a Fraction or a string such as "3/4".
 
-    Anything else -- a float, a malformed string, a zero denominator -- is an
-    InputError naming ``what`` (e.g. "coefficient"), never a bare exception.
+    Anything else -- a float, a bool, a malformed string, a zero denominator --
+    is an InputError naming ``what`` (e.g. "coefficient"), never a bare
+    exception.
     """
-    if isinstance(x, (int, Fraction, str)):
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -352,6 +355,27 @@ def rank_mod_p_sparse(sparse_rows: list[dict[int, int]], p: int) -> int:
         col_rows.pop(pj, None)
         rank += 1
     return rank
+
+
+def rank_gf2_columns(columns) -> int:
+    """Rank over GF(2) of the matrix whose columns are the given ints, bit r
+    of a column being its entry in row r.
+
+    XOR column reduction: each new column is XORed with the kept column
+    owning its highest set bit until it vanishes (dependent) or reaches a
+    highest bit no kept column owns (a new pivot). The highest bit, not the
+    lowest, because ``int.bit_length`` finds it without copying the column.
+    """
+    pivots: dict[int, int] = {}
+    for col in columns:
+        while col:
+            top = col.bit_length()
+            kept = pivots.get(top)
+            if kept is None:
+                pivots[top] = col
+                break
+            col ^= kept
+    return len(pivots)
 
 
 def rank(matrix: RationalMatrix, field: FieldSpec = QQ) -> int:

@@ -295,7 +295,7 @@ def lines_from_json_dict(data: dict) -> LineArrangement:
         entries = data["lines"]
     except (KeyError, TypeError):
         raise InputError('lines JSON needs "ambient_dim" and "lines"') from None
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise InputError('"ambient_dim" must be an integer')
     if not isinstance(entries, list):
         raise InputError('"lines" must be a list')

@@ -169,6 +169,33 @@ def bf_find_induced(host: Graph, pattern: Graph):
     return None
 
 
+def first_induced_embedding(host: Graph, pattern: Graph, order):
+    """The first induced copy of ``pattern`` in ``host`` in the order of
+    ``itertools.permutations(host.vertices, len(order))``, read as the
+    images of ``order``; a dict pattern label -> host label, or None.
+
+    Only vertex sets with the pattern's edge count can hold a copy, so those
+    are the ones whose orderings are tried; the lexicographically first
+    qualifying tuple of host positions is the one permutations() yields
+    first.
+    """
+    k = len(order)
+    pairs = list(itertools.combinations(range(k), 2))
+    wanted = {(i, j): pattern.has_edge(order[i], order[j]) for i, j in pairs}
+    n_edges = sum(wanted.values())
+    position = {v: i for i, v in enumerate(host.vertices)}
+    best = None
+    for combo in itertools.combinations(host.vertices, k):
+        if sum(host.has_edge(a, b) for a, b in itertools.combinations(combo, 2)) != n_edges:
+            continue
+        for perm in itertools.permutations(combo):
+            if all(host.has_edge(perm[i], perm[j]) == wanted[i, j] for i, j in pairs):
+                key = tuple(position[v] for v in perm)
+                if best is None or key < best[0]:
+                    best = (key, perm)
+    return None if best is None else dict(zip(order, best[1]))
+
+
 def bf_nonrevisiting_exists(cxv: SimplicialComplex, f1, f2) -> bool:
     """Enumerate every simple dual path and test the non-revisiting rule."""
     facets = list(cxv.facets)

@@ -235,9 +235,14 @@ _LINE = {"points": [[1, 0, 0], [0, 1, 0]]}
     ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [["x", 0, 0], [0, 1, 0]]}]}),
     ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [1, 2]}, _LINE]}),
     ("analyze-lines", {"ambient_dim": 2, "lines": 5}),
+    ("analyze-arrangement", {"variables": True, "components": [[[1]]]}),
+    ("analyze-arrangement", {"variables": 2, "components": [[[True, False]]]}),
+    ("analyze-lines", {"ambient_dim": True, "lines": [_LINE]}),
+    ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [[True, 0, 0], [0, 1, 0]]}]}),
 ], ids=["zero-denominator-coefficient", "malformed-coefficient", "components-not-a-list",
         "form-not-a-list", "zero-denominator-coordinate", "malformed-coordinate",
-        "point-not-a-list", "lines-not-a-list"])
+        "point-not-a-list", "lines-not-a-list", "boolean-variables", "boolean-coefficients",
+        "boolean-ambient-dim", "boolean-coordinate"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, command, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

@@ -1,6 +1,8 @@
+import itertools
 from math import inf
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dualgraphs.complexes import (
     crosspolytope_boundary,
@@ -36,6 +38,7 @@ from oracles import (
     bf_diameter,
     bf_edge_connectivity,
     bf_find_induced,
+    first_induced_embedding,
     bf_nonrevisiting_exists,
     bf_vertex_connectivity,
     cx,
@@ -204,6 +207,33 @@ def test_forbidden_search_matches_bruteforce_small():
         assert (contains_forbidden_line_graph(g) is None) == (
             bf_find_induced(g, pat) is None
         )
+
+
+#: The order in which the search places the pattern's vertices: by
+#: descending degree, ties by label.
+PATTERN_ORDER = ("1", "6", "2", "3", "4", "5")
+
+
+@st.composite
+def dense_graphs(draw):
+    n = draw(st.integers(6, 9))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    keep = st.integers(0, 9).map(lambda x: x < 8)
+    edges = [e for e in itertools.combinations(labels, 2) if draw(keep)]
+    return Graph(labels, edges)
+
+
+@given(dense_graphs())
+@example(complete_graph(16))
+@example(generate_graph("forbidden6"))
+@example(Graph([str(i) for i in range(1, 8)],
+               [e for e in itertools.combinations([str(i) for i in range(1, 8)], 2)
+                if set(e) not in ({"1", "2"}, {"3", "4"})]))
+def test_forbidden_search_returns_the_first_induced_copy(g):
+    witness = contains_forbidden_line_graph(g)
+    assert witness == first_induced_embedding(g, forbidden_pattern(), PATTERN_ORDER)
+    # reports print the witness, so its key order is part of the output
+    assert witness is None or tuple(witness) == PATTERN_ORDER
 
 
 def test_bound_calculators():

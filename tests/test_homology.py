@@ -1,5 +1,10 @@
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
+from dualgraphs import homology
 from dualgraphs.complexes import (
     SimplicialComplex,
     crosspolytope_boundary,
@@ -18,6 +23,7 @@ from dualgraphs.homology import (
     regularity,
 )
 from dualgraphs.linalg import QQ, RationalMatrix, prime_field, rank
+from dualgraphs.reports import build_complex_report
 from oracles import cx, minor_scan_rank
 
 GF2 = prime_field(2)
@@ -193,3 +199,60 @@ def test_sphere_implies_gorenstein_implies_cm(rp2):
                 assert gor
             if gor:
                 assert cm
+
+
+def _count_exact_q_ranks(monkeypatch) -> list:
+    calls = []
+    exact = homology.rank_int_sparse
+    monkeypatch.setattr(homology, "rank_int_sparse",
+                        lambda rows: calls.append(len(rows)) or exact(rows))
+    return calls
+
+
+RP2_SUSPENSION = [f + (apex,) for f in RP2_FACETS for apex in ("a", "b")]
+
+
+@pytest.mark.parametrize("facets, over_q, over_gf2", [
+    (RP2_FACETS, (0, 0, 0, 0), (0, 0, 1, 1)),
+    (RP2_SUSPENSION, (0, 0, 0, 0, 0), (0, 0, 0, 1, 1)),
+], ids=["rp2", "rp2-joined-with-two-points"])
+def test_two_torsion_takes_the_exact_q_route(monkeypatch, facets, over_q, over_gf2):
+    # two nonzero GF(2) entries do not determine the Q profile
+    calls = _count_exact_q_ranks(monkeypatch)
+    c = cx(facets)
+    assert reduced_betti_numbers(c, GF2).reduced == over_gf2
+    assert reduced_betti_numbers(c, QQ).reduced == over_q
+    assert calls
+
+
+def test_sphere_q_profile_comes_from_gf2(monkeypatch):
+    calls = _count_exact_q_ranks(monkeypatch)
+    c = crosspolytope_boundary(3)
+    assert reduced_betti_numbers(c, QQ).reduced == (0, 0, 0, 1)
+    assert is_homology_sphere(c, QQ)
+    assert calls == []
+
+
+def test_report_builds_each_link_once(monkeypatch):
+    builds = Counter()
+    link_mask = SimplicialComplex.link_mask
+
+    def counting_link_mask(self, mask):
+        builds[self.facets, mask] += 1
+        return link_mask(self, mask)
+
+    monkeypatch.setattr(SimplicialComplex, "link_mask", counting_link_mask)
+    c = crosspolytope_boundary(4)
+    build_complex_report(c, (QQ, GF2))
+    # one link per nonempty face; the empty face's link is the complex itself
+    assert len(builds) == len(c.faces) - 1
+    assert max(builds.values()) == 1
+
+
+def test_homology_results_die_with_the_complex():
+    c = crosspolytope_boundary(3)
+    assert is_homology_sphere(c, QQ) and regularity(c, GF2).value == 3
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dualgraphs.errors import FieldError
+from dualgraphs.errors import FieldError, InputError
 from dualgraphs.linalg import (
     QQ,
     FieldSpec,
@@ -12,8 +12,10 @@ from dualgraphs.linalg import (
     nullity,
     nullspace,
     parse_field,
+    parse_rational,
     prime_field,
     rank,
+    rank_gf2_columns,
     rref,
 )
 from oracles import gauss_rank, minor_scan_rank, rank_mod_p
@@ -40,6 +42,14 @@ def test_parse_field():
         parse_field("gf:ten")
     with pytest.raises(FieldError):
         parse_field("r")
+
+
+def test_parse_rational_rejects_booleans():
+    assert parse_rational("3/4", "coefficient") == Fraction(3, 4)
+    assert parse_rational(-2, "coefficient") == -2
+    for bad in (True, False, 0.5):
+        with pytest.raises(InputError):
+            parse_rational(bad, "coefficient")
 
 
 def test_rank_identity():
@@ -141,3 +151,26 @@ def test_rank_mod_large_prime_equals_rank_q(rows):
     # entries are tiny, so every nonzero minor is far below 2^31 - 1 and
     # the generic-prime equality is exact, not just almost-always
     assert rank(RationalMatrix(rows)) == rank(RationalMatrix(rows), prime_field(2**31 - 1))
+
+
+_bit_matrix_strategy = st.integers(1, 12).flatmap(
+    lambda nc: st.lists(
+        st.lists(st.integers(0, 1), min_size=nc, max_size=nc),
+        min_size=1,
+        max_size=12,
+    )
+)
+
+
+@given(_bit_matrix_strategy)
+def test_gf2_column_kernel_matches_oracle(rows):
+    # bit r of column c is rows[r][c]
+    columns = [sum(row[c] << r for r, row in enumerate(rows)) for c in range(len(rows[0]))]
+    assert rank_gf2_columns(columns) == rank_mod_p(rows, 2)
+
+
+def test_gf2_column_kernel_small_cases():
+    assert rank_gf2_columns([]) == 0
+    assert rank_gf2_columns([0, 0]) == 0
+    assert rank_gf2_columns([0b11, 0b110, 0b101]) == 2  # the triangle's edges
+    assert rank_gf2_columns([1 << 200, (1 << 200) | 1, 1]) == 2

@@ -31,6 +31,8 @@ from oracles import (
     bf_vertex_connectivity,
     hilbert_h_vector,
     bf_minimal_nonfaces,
+    gauss_rank,
+    rank_mod_p,
     reduced_euler_characteristic,
 )
 
@@ -103,6 +105,22 @@ def test_boundary_composition_vanishes(c):
         for r in range(a.rows):
             for s in range(b.cols):
                 assert sum(a.entries[r][k] * b.entries[k][s] for k in range(a.cols)) == 0
+
+
+@given(complexes())
+def test_reduced_betti_matches_boundary_rank_oracles(c):
+    def oracle_rank(i, field):
+        if i > c.dimension:
+            return 0
+        rows = [list(r) for r in boundary_matrix(c, i).entries]
+        return gauss_rank(rows) if field.is_rationals else rank_mod_p(rows, field.p)
+
+    for field in (QQ, GF2, GF3):
+        expected = tuple(
+            c.f_vector[i + 1] - oracle_rank(i, field) - oracle_rank(i + 1, field)
+            for i in range(-1, c.dimension + 1)
+        )
+        assert reduced_betti_numbers(c, field).reduced == expected
 
 
 def test_f_to_h_matches_hilbert_exhaustive_small():
