@@ -17,7 +17,7 @@ from . import complexes as cx_mod
 from . import graphs as graph_mod
 from . import lines as lines_mod
 from . import reports
-from .errors import DualGraphsError, FieldError, InputError, ResourceCapError
+from .errors import DualGraphsError, InputError, ResourceCapError
 from .homology import DEFAULT_MAX_HOCHSTER_VERTICES
 from .linalg import QQ, parse_field
 
@@ -99,19 +99,27 @@ def _strict_exit(report: dict, strict: bool) -> int:
     return EXIT_OK
 
 
+def _count(value: int, flag: str) -> int:
+    if value < 0:
+        raise InputError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _run_analyze_complex(args) -> int:
     fields = tuple(parse_field(f) for f in (args.field or ["q"]))
+    max_n = _count(args.max_hochster_n, "--max-hochster-n")
     cx = cx_mod.read_facet_file(args.path, allow_void=args.allow_void)
     report = reports.build_complex_report(
-        cx, fields=fields, max_hochster_n=args.max_hochster_n, descriptor=args.path
+        cx, fields=fields, max_hochster_n=max_n, descriptor=args.path
     )
     _emit(report, args.format)
     return _strict_exit(report, args.strict)
 
 
 def _run_analyze_arrangement(args) -> int:
+    sections = _count(args.section, "--section")
     arr = arr_mod.read_arrangement_file(args.path)
-    for k in range(args.section):
+    for k in range(sections):
         arr = arr_mod.generic_hyperplane_section(arr, seed=args.seed + k)
     subset = None
     if args.ds_subset:
@@ -124,7 +132,7 @@ def _run_analyze_arrangement(args) -> int:
         descriptor=args.path,
         regularity_certificate=args.regularity_certificate,
         ds_subset=subset,
-        sections_applied=args.section,
+        sections_applied=sections,
     )
     _emit(report, args.format)
     return _strict_exit(report, args.strict)
@@ -181,10 +189,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (OSError, FieldError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DualGraphsError as exc:
+    except (OSError, UnicodeDecodeError, DualGraphsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

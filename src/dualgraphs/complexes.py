@@ -19,7 +19,6 @@ filling it at once may compute a result twice, never a different one.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from math import comb
 
@@ -275,22 +274,24 @@ class SimplicialComplex:
     def minimal_nonfaces(self) -> tuple[tuple, ...]:
         """Inclusion-minimal non-faces (generator supports of the nonface ideal).
 
-        A minimal nonface has at most d+2 vertices, so enumeration stops there.
+        Each is a nonface F|v (F a face, v above its vertices) whose smaller
+        subsets are faces, found by lookups in the face set: so at most d+2
+        vertices. Ordered by size, then lexicographically by vertex position.
         """
         if self.is_void:
             raise VoidComplexError("the void complex has no nonfaces")
-        n = self.n_vertices
+        faces = self.faces
         out = []
-        for size in range(1, min(n, self.dimension + 2) + 1):
-            for combo in itertools.combinations(range(n), size):
-                m = 0
-                for b in combo:
-                    m |= 1 << b
-                if self.has_face_mask(m):
+        for face in faces:
+            for v in range(face.bit_length(), self.n_vertices):
+                m = face | 1 << v
+                if m in faces:
                     continue
-                if all(self.has_face_mask(m & ~(1 << b)) for b in combo):
-                    out.append(self.labels_of(m))
-        return tuple(out)
+                pos = [b for b in range(v) if face >> b & 1]
+                if all(m ^ 1 << b in faces for b in pos):
+                    out.append((*pos, v))
+        out.sort(key=lambda pos: (len(pos), pos))
+        return tuple(tuple(self.vertices[b] for b in pos) for pos in out)
 
     @cached_property
     def is_flag(self) -> bool:

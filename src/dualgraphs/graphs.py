@@ -134,13 +134,10 @@ class Graph:
 
     # -- adjacency in index form, used by the algorithms below --------------
 
+    @functools.cached_property
     def _adj_lists(self) -> list[list[int]]:
         idx = self._index
-        out: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            out[idx[u]].append(idx[v])
-            out[idx[v]].append(idx[u])
-        return [sorted(ns) for ns in out]
+        return [sorted(idx[u] for u in self._adj[v]) for v in self.vertices]
 
 
 def bfs_distances(g: Graph, source) -> dict:
@@ -216,7 +213,7 @@ def _vertex_flow(g: Graph, s_idx: int, t_idx: int):
     """
     big = g.n + 1
     arcs: dict[int, dict[int, int]] = {}
-    adj = g._adj_lists()
+    adj = g._adj_lists
     for w in range(g.n):
         arcs.setdefault(2 * w, {})[2 * w + 1] = 1 if w not in (s_idx, t_idx) else big
         for x in adj[w]:
@@ -267,7 +264,7 @@ def vertex_connectivity(g: Graph):
 
 def _edge_flow(g: Graph, s_idx: int, t_idx: int):
     arcs: dict[int, dict[int, int]] = {}
-    adj = g._adj_lists()
+    adj = g._adj_lists
     for w in range(g.n):
         arcs[w] = {x: 1 for x in adj[w]}
     value, reach = _max_flow(g.n, arcs, s_idx, t_idx)
@@ -441,7 +438,7 @@ def contains_forbidden_line_graph(g: Graph):
     # Most-constrained first: pattern vertices by descending degree.
     order = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
     wanted = [[pattern.has_edge(p, q) for q in order] for p in order]
-    adj = [set(ns) for ns in g._adj_lists()]
+    adj = [set(ns) for ns in g._adj_lists]
     images: list[int] = []
 
     def extend(cands):

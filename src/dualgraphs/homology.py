@@ -17,9 +17,14 @@ b~_i(Q) <= b~_i(GF(2)) for every i, and both profiles alternate-sum to the
 reduced Euler characteristic. Otherwise -- 2-torsion may be present, as in
 the projective plane -- the Q ranks are computed exactly over the integers.
 
+The regularity sweep's cover rule: with U(W) the union of the minimal
+nonfaces inside a vertex set W, W is a face exactly when U(W) is empty, and
+its restriction is a cone with apex v exactly when v is in W but not in
+U(W). Both are acyclic over every field, so only a W with U(W) = W is built.
+
 Results are kept on the complex being analysed (``SimplicialComplex.memo``),
 per field: the profile of each link under its face mask in the complex, the
-profile of each restriction the regularity sweep meets under its vertex
+profile of each restriction the regularity sweep builds under its vertex
 mask, and the Cohen-Macaulay and homology-sphere verdicts of the single
 link sweep that answers both. A Q sweep reads the GF(2) link profiles, so a
 report over Q and GF(2) builds each link once. Nothing is cached at module
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, _maximal_masks
+from .complexes import SimplicialComplex
 from .errors import NonPureComplexError, ResourceCapError, VoidComplexError
 from .linalg import (
     QQ,
@@ -167,10 +172,8 @@ def _kept_profile(cx: SimplicialComplex, table: str, mask: int, field: FieldSpec
     """Profile over ``field`` of the subcomplex ``build(cx, mask)``, kept on
     ``cx`` under (table, field) and ``mask``.
 
-    ``build`` returns None for a subcomplex known to be acyclic over every
-    field; its profile is then ``()``. A Q profile comes from the GF(2)
-    profile of the same subcomplex when that certifies it, and from exact
-    integer ranks otherwise.
+    A Q profile comes from the GF(2) profile of the same subcomplex when
+    that certifies it, and from exact integer ranks otherwise.
     """
     store = cx.memo.setdefault((table, field), {})
     bt = store.get(mask)
@@ -178,8 +181,7 @@ def _kept_profile(cx: SimplicialComplex, table: str, mask: int, field: FieldSpec
         if field.is_rationals:
             bt = _certified_by_gf2(_kept_profile(cx, table, mask, GF2, build))
         if bt is None:
-            sub = build(cx, mask)
-            bt = () if sub is None else _ranks_profile(sub, field)
+            bt = _ranks_profile(build(cx, mask), field)
         store[mask] = bt
     return bt
 
@@ -287,21 +289,6 @@ def _facets_strongly_connected(facets: list[int]) -> bool:
     return len(seen) == k
 
 
-def _restriction(cx: SimplicialComplex, w_mask: int) -> SimplicialComplex | None:
-    """The induced subcomplex on ``w_mask``, or None when it is a simplex or
-    a cone: cheap skips, since those have no reduced homology over any
-    field."""
-    if cx.has_face_mask(w_mask):
-        return None  # a face restricts to a full simplex
-    maximal = _maximal_masks({f & w_mask for f in cx.facets})
-    common = maximal[0]
-    for m in maximal[1:]:
-        common &= m
-    if common:
-        return None  # cone: contractible
-    return SimplicialComplex._from_parent(cx, maximal, maximal=True)
-
-
 def regularity(
     cx: SimplicialComplex,
     field: FieldSpec = QQ,
@@ -313,14 +300,15 @@ def regularity(
 
     The sweep visits all 2^n subsets (Gray-code order), so it refuses to run
     past ``max_vertices`` -- raise the cap explicitly to accept the blowup.
-    Simplices and cones are skipped; every other restriction's profile is
-    kept on ``cx``, so a second field's sweep reuses the GF(2) profiles. The
-    witness is the first subset in Gray-code order attaining the maximum,
-    and it re-verifies on a freshly built restriction, apart from the kept
-    profiles. On Cohen-Macaulay input the result is cross-checked against
-    the h-polynomial degree; pass ``cross_check_cm=False`` to skip that
-    check (its Reisner sweep is kept on ``cx`` and shared with
-    ``is_cohen_macaulay``).
+    Simplices and cones -- the W not covered by the minimal nonfaces inside
+    them (module docstring) -- are skipped; every other restriction's
+    profile is kept on ``cx``, so a second field's sweep reuses the GF(2)
+    profiles. The witness is the first subset in Gray-code order attaining
+    the maximum, and it re-verifies on a freshly built restriction, apart
+    from the kept profiles. On Cohen-Macaulay input the result is
+    cross-checked against the h-polynomial degree; pass
+    ``cross_check_cm=False`` to skip that check (its Reisner sweep is kept
+    on ``cx`` and shared with ``is_cohen_macaulay``).
     """
     if cx.is_void:
         raise VoidComplexError("the void complex has no regularity")
@@ -330,11 +318,18 @@ def regularity(
             f"regularity sweep needs 2^{n} restrictions; cap is {max_vertices}"
             " vertices (raise max_vertices / --max-hochster-n to override)"
         )
+    nonfaces = [cx.mask_of(nf) for nf in cx.minimal_nonfaces]
     best = 0
     best_mask = 0
     for k in range(1, 1 << n):
         w = k ^ (k >> 1)
-        bt = _kept_profile(cx, "restriction", w, field, _restriction)
+        cover = 0
+        for nf in nonfaces:
+            if nf & w == nf:
+                cover |= nf
+        if cover != w:
+            continue  # a simplex or a cone: acyclic over every field
+        bt = _kept_profile(cx, "restriction", w, field, SimplicialComplex.restrict_mask)
         top = max((i for i, b in enumerate(bt) if b), default=0)
         if top > best:
             best = top

@@ -14,6 +14,7 @@ from math import comb, inf
 
 from dualgraphs.complexes import SimplicialComplex
 from dualgraphs.graphs import Graph
+from dualgraphs.homology import boundary_matrix
 
 
 def cx(facets) -> SimplicialComplex:
@@ -237,6 +238,46 @@ def bf_minimal_nonfaces(cxv: SimplicialComplex):
         if not any(o != m and o & m == o for o in nonfaces)
     ]
     return sorted(cxv.labels_of(m) for m in minimal)
+
+
+def bf_reduced_betti(cxv: SimplicialComplex, field) -> list:
+    """b~_-1 .. b~_d from the ranks of the dense boundary matrices."""
+    def field_rank(rows):
+        return gauss_rank(rows) if field.is_rationals else rank_mod_p(rows, field.p)
+
+    maps = [boundary_matrix(cxv, i) for i in range(-1, cxv.dimension + 1)]
+    ranks = [field_rank(d.entries) for d in maps] + [0]
+    return [d.cols - ranks[j] - ranks[j + 1] for j, d in enumerate(maps)]
+
+
+def bf_regularity(cxv: SimplicialComplex, field):
+    """(value, witness labels) of the restriction sweep with no skips.
+
+    Every nonempty vertex set W, in Gray-code order, is restricted by
+    rebuilding the complex from the facets cut down to W; the value is the
+    largest i with b~_{i-1} != 0, and the witness the first W attaining it.
+    """
+    best, best_mask = 0, 0
+    for k in range(1, 1 << cxv.n_vertices):
+        w = k ^ (k >> 1)
+        sub = SimplicialComplex.from_facets(
+            [cxv.labels_of(f & w) for f in cxv.facets if f & w]
+        )
+        top = max((j for j, b in enumerate(bf_reduced_betti(sub, field)) if b), default=0)
+        if top > best:
+            best, best_mask = top, w
+    return best, cxv.labels_of(best_mask)
+
+
+def bf_acyclic_by_cone(cxv: SimplicialComplex, w: int) -> bool:
+    """Whether the restriction to W is a simplex or a cone: its maximal
+    faces, the inclusion-maximal facet cuts, share a vertex."""
+    cuts = {f & w for f in cxv.facets}
+    maximal = [m for m in cuts if not any(m != o and m & o == m for o in cuts)]
+    common = w
+    for m in maximal:
+        common &= m
+    return common != 0
 
 
 def reduced_euler_characteristic(f_vector) -> int:

@@ -260,3 +260,26 @@ def test_regularity_certificate_zero_on_the_zero_ideal(capsys, tmp_path):
     assert code == 0, err
     checks = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
     assert checks["regularity_connectivity"] == "pass"
+
+
+@pytest.mark.parametrize("command", [
+    "analyze-complex", "analyze-arrangement", "analyze-lines", "check-graph",
+])
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe1 2\n")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("analyze-arrangement", "--section", json.dumps({"variables": 3, "components": [[]]})),
+    ("analyze-complex", "--max-hochster-n", "1 2\n2 3\n"),
+], ids=["section", "max-hochster-n"])
+def test_negative_count_is_an_input_error(capsys, tmp_path, command, flag, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path), flag, "-1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} must be >= 0") and err.count("\n") == 1

@@ -24,7 +24,7 @@ from dualgraphs.homology import (
 )
 from dualgraphs.linalg import QQ, RationalMatrix, prime_field, rank
 from dualgraphs.reports import build_complex_report
-from oracles import cx, minor_scan_rank
+from oracles import bf_acyclic_by_cone, cx, minor_scan_rank
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -247,6 +247,31 @@ def test_report_builds_each_link_once(monkeypatch):
     # one link per nonempty face; the empty face's link is the complex itself
     assert len(builds) == len(c.faces) - 1
     assert max(builds.values()) == 1
+
+
+@pytest.mark.parametrize("facets", [
+    crosspolytope_boundary(3).facet_labels(),
+    RP2_FACETS,
+    tadpole_complex().facet_labels(),
+    [(1, 2, 3), (3, 4), (4, 5), (5, 1), (2, 6)],
+    [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3, 5)],
+], ids=["crosspolytope3", "rp2", "tadpole", "nonpure", "cone-on-a-chord"])
+@pytest.mark.parametrize("field", [QQ, GF2], ids=["Q", "GF2"])
+def test_regularity_builds_only_restrictions_with_homology(monkeypatch, facets, field):
+    built = set()
+    restrict_mask = SimplicialComplex.restrict_mask
+
+    def recording_restrict_mask(self, mask):
+        if self is c:
+            built.add(mask)
+        return restrict_mask(self, mask)
+
+    monkeypatch.setattr(SimplicialComplex, "restrict_mask", recording_restrict_mask)
+    c = cx(facets)
+    cert = regularity(c, field)
+    # every W whose restriction is neither a simplex nor a cone, plus the witness
+    wanted = {w for w in range(1, 1 << c.n_vertices) if not bf_acyclic_by_cone(c, w)}
+    assert built == wanted | {c.mask_of(cert.witness_vertices)}
 
 
 def test_homology_results_die_with_the_complex():

@@ -23,6 +23,7 @@ from dualgraphs.homology import (
     boundary_matrix,
     is_cohen_macaulay,
     reduced_betti_numbers,
+    regularity,
 )
 from dualgraphs.linalg import QQ, prime_field
 from oracles import (
@@ -31,6 +32,7 @@ from oracles import (
     bf_vertex_connectivity,
     hilbert_h_vector,
     bf_minimal_nonfaces,
+    bf_regularity,
     gauss_rank,
     rank_mod_p,
     reduced_euler_characteristic,
@@ -154,6 +156,12 @@ def test_minimal_nonfaces_roundtrip_and_oracle(c):
     rebuilt = SimplicialComplex.from_facets(faces) if faces else None
     if rebuilt is not None:
         assert rebuilt == c
+
+
+@given(complexes(max_vertices=8), st.sampled_from([QQ, GF2, GF3]))
+def test_regularity_matches_unskipped_sweep_oracle(c, field):
+    cert = regularity(c, field)
+    assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
 
 
 @given(complexes(max_vertices=5, max_facets=5))
