@@ -11,6 +11,10 @@ over the common height. A zero component next to other components makes
 the arrangement mixed, so its dual graph is undefined. Containment between
 components is not checked.
 
+Each form is converted once, by the constructor, to its primitive integer
+row (``linalg.integer_row``) for every height and stacked rank; ``components``
+keeps the listed Fractions for equality and JSON output.
+
 Everything is exact; the only randomness is the seeded generic hyperplane
 section, which verifies its own postconditions and retries with the next
 seed rather than arguing genericity symbolically.
@@ -35,7 +39,7 @@ from .graphs import (
     is_k_connected,
     vertex_connectivity,
 )
-from .linalg import RationalMatrix, parse_rational_vector, rank, rational_to_json
+from .linalg import integer_row, parse_rational_vector, rank_int_sparse, rational_to_json
 
 _SECTION_COEFF_MAX = 2**16
 _SECTION_MAX_ATTEMPTS = 32
@@ -73,14 +77,13 @@ class SubspaceArrangement:
         if not comps:
             raise InputError("arrangement needs at least one component")
         self.components = tuple(comps)
-        self._heights = tuple(
-            rank(RationalMatrix(c, cols=n_vars)) for c in self.components
-        )
+        rows = [[integer_row(form) for form in c] for c in comps]
+        self._heights = tuple(rank_int_sparse(r) for r in rows)
         self._adjacent_pairs = set()
         for i, j in itertools.combinations(range(len(comps)), 2):
             if self._heights[i] != self._heights[j]:
                 continue
-            stacked = rank(RationalMatrix(comps[i] + comps[j], cols=n_vars))
+            stacked = rank_int_sparse(rows[i] + rows[j])
             if stacked == self._heights[i]:
                 raise InputError(
                     f"components {i + 1} and {j + 1} have the same row space"

@@ -119,14 +119,19 @@ def _run_analyze_complex(args) -> int:
 def _run_analyze_arrangement(args) -> int:
     sections = _count(args.section, "--section")
     arr = arr_mod.read_arrangement_file(args.path)
-    for k in range(sections):
-        arr = arr_mod.generic_hyperplane_section(arr, seed=args.seed + k)
     subset = None
     if args.ds_subset:
         try:
-            subset = [int(tok) - 1 for tok in args.ds_subset.split(",")]
+            typed = [int(tok) for tok in args.ds_subset.split(",")]
         except ValueError:
             raise InputError(f"bad subset {args.ds_subset!r}") from None
+        s = arr.n_components
+        for i in typed:
+            if not 1 <= i <= s:
+                raise InputError(f"component index {i} out of range 1..{s}")
+        subset = [i - 1 for i in typed]
+    for k in range(sections):
+        arr = arr_mod.generic_hyperplane_section(arr, seed=args.seed + k)
     report = reports.build_arrangement_report(
         arr,
         descriptor=args.path,
@@ -190,7 +195,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (OSError, UnicodeDecodeError, DualGraphsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{args.path}: " if isinstance(exc, UnicodeDecodeError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -2,14 +2,13 @@
 
 Ranks and nullities drive every height, homology, and incidence computation
 in this package, so everything here is exact: arbitrary-precision integers
-and fractions, no floats. Over Q a matrix is scaled row by row to integers
-and reduced by fraction-free (Bareiss) elimination; sparse integer matrices
-first go through a unit-pivot elimination pass, which removes the bulk of
-the rank without any coefficient growth and leaves Bareiss only a small
-dense remainder (for simplicial boundary matrices the remainder is almost
-always empty). Over GF(p) entries are reduced mod p and eliminated directly;
-over GF(2) columns packed into Python ints are reduced by XOR
-(``rank_gf2_columns``).
+and fractions, no floats. Over Q each row becomes its primitive integer
+multiple through ``integer_row`` (callers ranking the same rows often convert
+them once) and ``rank_int_sparse`` runs a unit-pivot pass, which removes the
+bulk of the rank without coefficient growth, then fraction-free (Bareiss)
+elimination on the small dense remainder. GF(p) reduces entries mod p, never
+via ``integer_row``: dividing by the gcd can change the rank mod p, (p, 2p)
+becoming (1, 2). GF(2) reduces columns packed into ints by XOR.
 
 All functions are pure and deterministic: pivots are chosen by a fixed rule,
 never randomly.
@@ -18,13 +17,16 @@ never randomly.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import FieldError, InputError
 
 _PRIME_CAP = 2**31
+#: What ``Fraction(str)`` accepts only from Python 3.11 ("1_000") or 3.12 ("3 / 4").
+_NOT_PY310_RATIONAL = re.compile(r"_|\s/|/\s")
 
 
 def _is_prime(p: int) -> bool:
@@ -86,11 +88,12 @@ def parse_field(text: str) -> FieldSpec:
 def parse_rational(x, what: str) -> Fraction:
     """An exact rational from an int, a Fraction or a string such as "3/4".
 
-    Anything else -- a float, a bool, a malformed string, a zero denominator --
-    is an InputError naming ``what`` (e.g. "coefficient"), never a bare
-    exception.
+    Strings follow Python 3.10's grammar on every Python (no "_", no space
+    beside "/"). Anything else -- a float, a bool, a malformed string, a zero
+    denominator -- is an InputError naming ``what``, never a bare exception.
     """
-    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+    exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    if exact or isinstance(x, str) and not _NOT_PY310_RATIONAL.search(x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -134,21 +137,6 @@ class RationalMatrix:
         self.cols = cols
         self.entries = tuple(rows)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.cols == other.cols
-            and all(
-                Fraction(a) == Fraction(b)
-                for ra, rb in zip(self.entries, other.entries)
-                for a, b in zip(ra, rb)
-            )
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(Fraction(x) for x in r) for r in self.entries)))
-
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 
@@ -159,22 +147,23 @@ class RationalMatrix:
         )
 
 
-def _integer_rows(matrix: RationalMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in matrix.entries:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            scale = scale * d // gcd(scale, d)
-        scaled = []
-        for x in row:
-            v = x * scale
-            if v.denominator != 1:
-                raise AssertionError("denominator survived row scaling")
-            scaled.append(v.numerator)
-        out.append(scaled)
-    return out
+def integer_row(vec) -> dict[int, int]:
+    """The primitive integer multiple of a rational vector, as a sparse row.
+
+    Scaled by the lcm of the denominators, then divided by the gcd, in
+    integer arithmetic only; signs are kept and the zero vector gives {}.
+    An entry that is not an int or a Fraction is a TypeError.
+    """
+    row = {}
+    for j, x in enumerate(vec):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"entry {x!r} is not an exact rational")
+        if x:
+            row[j] = x
+    scale = lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()}
 
 
 def bareiss_rank(rows, check: bool = False) -> int:
@@ -204,8 +193,6 @@ def bareiss_rank(rows, check: bool = False) -> int:
         for i in range(rank + 1, nr):
             row = m[i]
             mic = row[c]
-            if mic == 0 and prev == 1:
-                continue
             for j in range(c + 1, nc):
                 num = row[j] * p - mic * top[j]
                 if check and num % prev:
@@ -217,10 +204,6 @@ def bareiss_rank(rows, check: bool = False) -> int:
         if rank == nr:
             break
     return rank
-
-
-def _sparse_from_dense(rows) -> list[dict[int, int]]:
-    return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
 def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
@@ -383,7 +366,7 @@ def rank(matrix: RationalMatrix, field: FieldSpec = QQ) -> int:
     if matrix.rows == 0 or matrix.cols == 0:
         return 0
     if field.is_rationals:
-        return rank_int_sparse(_sparse_from_dense(_integer_rows(matrix)))
+        return rank_int_sparse([integer_row(row) for row in matrix.entries])
     return rank_mod_p_sparse(_mod_p_rows(matrix, field.p), field.p)
 
 

@@ -6,6 +6,11 @@ works uniformly in any ambient dimension: two distinct lines meet exactly
 when their four spanning points have rank 3, and the meeting point is the
 one-dimensional intersection of the two row spans.
 
+Each spanning point is converted once, when its line is built, to its
+primitive integer row (``ProjectiveLine.rows``), on which every rank test
+runs; ``p`` and ``q`` keep the listed Fractions for equality, JSON output
+and the meeting point.
+
 Intersection points are canonicalized to primitive integer vectors with a
 positive leading coordinate, which turns triple-point detection into set
 membership.
@@ -16,16 +21,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import inf
 
 from .errors import HypothesisError, InputError
 from .graphs import Graph, diameter, edge_connectivity, is_k_connected
-from .linalg import RationalMatrix, nullspace, parse_rational_vector, rank, rational_to_json
+from .linalg import RationalMatrix, integer_row, nullspace, parse_rational_vector
+from .linalg import rank_int_sparse, rational_to_json
 
 
 @dataclass(frozen=True)
 class ProjectiveLine:
-    """A line in P^N spanned by two independent points."""
+    """A line in P^N spanned by two independent points.
+
+    ``rows`` holds them as primitive integer rows. It is not a dataclass
+    field, so equality and the hash read ``p`` and ``q`` only.
+    """
 
     ambient_dim: int
     p: tuple[Fraction, ...]
@@ -39,8 +49,10 @@ class ProjectiveLine:
                 raise InputError(
                     f"point needs {self.ambient_dim + 1} homogeneous coordinates"
                 )
-        if rank(RationalMatrix([self.p, self.q])) != 2:
+        rows = (integer_row(self.p), integer_row(self.q))
+        if rank_int_sparse(rows) != 2:
             raise InputError("the two points do not span a line")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def through(cls, ambient_dim: int, p, q) -> "ProjectiveLine":
@@ -53,25 +65,15 @@ class ProjectiveLine:
 
 def canonical_point(vec) -> tuple[int, ...]:
     """Primitive integer representative with positive leading coordinate."""
-    fracs = [Fraction(x) for x in vec]
-    if not any(fracs):
+    row = integer_row(vec)
+    if not row:
         raise InputError("the zero vector is not a projective point")
-    scale = 1
-    for x in fracs:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    sign = -1 if row[min(row)] < 0 else 1
+    return tuple(sign * row.get(j, 0) for j in range(len(vec)))
 
 
 def same_line(l1: ProjectiveLine, l2: ProjectiveLine) -> bool:
-    return rank(RationalMatrix([l1.p, l1.q, l2.p, l2.q])) == 2
+    return rank_int_sparse(l1.rows + l2.rows) == 2
 
 
 def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
@@ -83,8 +85,7 @@ def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
     """
     if l1.ambient_dim != l2.ambient_dim:
         raise InputError("lines live in different ambient spaces")
-    stacked = RationalMatrix([l1.p, l1.q, l2.p, l2.q])
-    r = rank(stacked)
+    r = rank_int_sparse(l1.rows + l2.rows)
     if r == 2:
         raise InputError("identical lines have no single intersection point")
     if r == 4:

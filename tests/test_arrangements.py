@@ -3,7 +3,9 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import dualgraphs.arrangements as arrangements_module
 from dualgraphs.arrangements import (
     SubspaceArrangement,
     analyze_arrangement,
@@ -24,7 +26,9 @@ from dualgraphs.complexes import (
 )
 from dualgraphs.errors import HypothesisError, InputError, NotUnmixedError, SectionError
 from dualgraphs.graphs import HirschVerdict, diameter, dual_adjacency, vertex_connectivity
+from dualgraphs.linalg import integer_row
 from dualgraphs.reports import STATUS_NA, build_complex_report
+from oracles import gauss_rank
 
 
 def _e(i, n=4):
@@ -61,6 +65,8 @@ def test_redundant_forms_do_not_change_height():
 def test_duplicate_components_rejected():
     with pytest.raises(InputError):
         SubspaceArrangement(3, [[_e(0, 3)], [(2, 0, 0)]])
+    with pytest.raises(InputError, match="components 1 and 2 have the same row space"):
+        SubspaceArrangement(3, [[_e(0, 3), _e(1, 3)], [(Fraction(-1, 2), 3, 0), (6, 0, 0)]])
 
 
 def test_nonhirsch_arrangement_is_a_path(nonhirsch):
@@ -251,3 +257,53 @@ def test_zero_forms_are_the_zero_ideal():
     assert mixed.heights == (0, 1)
     assert not mixed.is_unmixed()
     assert analyze_arrangement(mixed).dual_graph is None
+
+
+#: Nonzero multipliers: fractional, negative and non-primitive ones.
+multipliers = st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(bool)
+
+
+@st.composite
+def forms_of_equal_count(draw):
+    """(n, components): 2-5 components of k small integer forms in n variables."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n))
+    form = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    comps = draw(st.lists(st.lists(form, min_size=k, max_size=k), min_size=2, max_size=5))
+    return n, comps
+
+
+@given(forms_of_equal_count(), st.data())
+def test_rescaled_forms_keep_heights_and_dual_edges(arr_data, data):
+    n, comps = arr_data
+    try:
+        arr = SubspaceArrangement(n, comps)
+    except InputError:
+        assume(False)
+    heights = tuple(gauss_rank(c) for c in comps)
+    assert arr.heights == heights
+    scaled = [[[m * x for x in form] for form, m in
+               zip(comp, data.draw(st.lists(multipliers, min_size=len(comp), max_size=len(comp))))]
+              for comp in comps]
+    again = SubspaceArrangement(n, scaled)
+    assert again.heights == heights
+    if arr.is_unmixed():
+        edges = {(i, j) for i in range(len(comps)) for j in range(i + 1, len(comps))
+                 if gauss_rank(comps[i] + comps[j]) == heights[0] + 1}
+        assert dual_edge_indices(arr) == dual_edge_indices(again) == edges
+
+
+def test_each_form_is_converted_once(monkeypatch):
+    calls = []
+
+    def counting(vec):
+        calls.append(vec)
+        return integer_row(vec)
+
+    monkeypatch.setattr(arrangements_module, "integer_row", counting)
+    arr = from_complex(crosspolytope_boundary(3))
+    n_forms = sum(len(c) for c in arr.components)
+    assert len(calls) == n_forms == 8 * 3
+    dual_graph(arr)
+    analyze_arrangement(arr, regularity_certificate=3)
+    assert len(calls) == n_forms

@@ -239,10 +239,15 @@ _LINE = {"points": [[1, 0, 0], [0, 1, 0]]}
     ("analyze-arrangement", {"variables": 2, "components": [[[True, False]]]}),
     ("analyze-lines", {"ambient_dim": True, "lines": [_LINE]}),
     ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [[True, 0, 0], [0, 1, 0]]}]}),
+    ("analyze-arrangement", {"variables": 2, "components": [[["1_000", 1]]]}),
+    ("analyze-arrangement", {"variables": 2, "components": [[["3 / 4", 1]]]}),
+    ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [["1_000", 0, 0], [0, 1, 0]]}]}),
+    ("analyze-lines", {"ambient_dim": 2, "lines": [{"points": [["3 / 4", 0, 0], [0, 1, 0]]}]}),
 ], ids=["zero-denominator-coefficient", "malformed-coefficient", "components-not-a-list",
         "form-not-a-list", "zero-denominator-coordinate", "malformed-coordinate",
         "point-not-a-list", "lines-not-a-list", "boolean-variables", "boolean-coefficients",
-        "boolean-ambient-dim", "boolean-coordinate"])
+        "boolean-ambient-dim", "boolean-coordinate", "underscore-coefficient",
+        "spaced-slash-coefficient", "underscore-coordinate", "spaced-slash-coordinate"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, command, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -271,6 +276,7 @@ def test_non_utf8_input_is_an_input_error(capsys, tmp_path, command):
     code, _, err = run(capsys, command, str(path))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("command, flag, text", [
@@ -283,3 +289,20 @@ def test_negative_count_is_an_input_error(capsys, tmp_path, command, flag, text)
     code, out, err = run(capsys, command, str(path), flag, "-1")
     assert code == 1 and out == ""
     assert err.startswith(f"error: {flag} must be >= 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("typed", ["0", "5", "1,0"])
+def test_ds_subset_error_names_the_typed_index(capsys, typed):
+    code, out, err = run(capsys, "analyze-arrangement",
+                         str(SAMPLES / "nonhirsch_arrangement.json"), "--ds-subset", typed)
+    assert code == 1 and out == ""
+    bad = typed.split(",")[-1]
+    assert err == f"error: component index {bad} out of range 1..4\n"
+
+
+def test_ds_subset_accepts_the_last_component(capsys):
+    code, out, err = run(capsys, "analyze-arrangement",
+                         str(SAMPLES / "nonhirsch_arrangement.json"), "--ds-subset", "4",
+                         "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["derksen_sidman_bound"] == 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from dualgraphs.linalg import (
     FieldSpec,
     RationalMatrix,
     bareiss_rank,
+    integer_row,
     nullity,
     nullspace,
     parse_field,
@@ -16,6 +18,7 @@ from dualgraphs.linalg import (
     prime_field,
     rank,
     rank_gf2_columns,
+    rank_int_sparse,
     rref,
 )
 from oracles import gauss_rank, minor_scan_rank, rank_mod_p
@@ -52,6 +55,38 @@ def test_parse_rational_rejects_booleans():
             parse_rational(bad, "coefficient")
 
 
+@pytest.mark.parametrize("text", ["1_000", "1_0/2", "3 / 4", "3/ 4", "3 /4"])
+def test_parse_rational_keeps_one_grammar(text):
+    # Fraction(str) accepts these from Python 3.11 or 3.12 on; the parser never does
+    with pytest.raises(InputError):
+        parse_rational(text, "coefficient")
+    assert parse_rational(" -3/4 ", "coefficient") == Fraction(-3, 4)
+
+
+def test_integer_row():
+    assert integer_row((Fraction(1, 2), Fraction(-1, 3), 0)) == {0: 3, 1: -2}
+    assert integer_row((-2, 4, -6)) == {0: -1, 1: 2, 2: -3}
+    assert integer_row((0, Fraction(6, 5), Fraction(-9, 10))) == {1: 4, 2: -3}
+    assert integer_row((0, 0)) == {}
+    assert integer_row(()) == {}
+    with pytest.raises(TypeError):
+        integer_row((1, 0.5))
+
+
+@given(st.lists(st.fractions(max_denominator=30), min_size=1, max_size=6),
+       st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool))
+def test_integer_row_is_the_primitive_positive_multiple(vec, scale):
+    row = integer_row(vec)
+    assert set(row) == {j for j, x in enumerate(vec) if x}
+    if row:
+        ratio = Fraction(next(iter(row.values()))) / vec[next(iter(row))]
+        assert ratio > 0
+        assert all(v == ratio * vec[j] for j, v in row.items())
+        assert math.gcd(*row.values()) == 1
+    assert integer_row([scale * x for x in vec]) == (
+        row if scale > 0 else {j: -v for j, v in row.items()})
+
+
 def test_rank_identity():
     eye = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(eye) == 3
@@ -84,6 +119,8 @@ def test_gf_p_rank_and_denominator_error():
     m = RationalMatrix([[2, 4], [1, 2]])
     assert rank(m, prime_field(2)) == 1
     assert rank(RationalMatrix([[2, 0], [0, 3]]), prime_field(2)) == 1
+    # (3, 6) is zero mod 3, though its primitive multiple (1, 2) is not
+    assert rank(RationalMatrix([[3, 6]]), prime_field(3)) == 0
     bad = RationalMatrix([[Fraction(1, 2)]])
     with pytest.raises(FieldError):
         rank(bad, prime_field(2))
@@ -93,6 +130,21 @@ def test_gf_p_rank_and_denominator_error():
 def test_bareiss_integrality_check():
     rows = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
     assert bareiss_rank(rows, check=True) == 3
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[3, 0, 0], [0, 1, 1], [0, 1, 2]], 3),
+    ([[0, 0, 0, 0, 2], [0, 0, 0, 2, 0], [0, 0, 2, 0, 0], [0, 3, 0, 0, 0]], 4),
+    ([[6, 0, 0], [0, 2, 3], [0, 4, 7]], 3),
+    ([[-280, -6300, 3024, 2835, 15120, -2250], [0, 0, 0, 24, 3, 24],
+      [0, 0, 0, 0, 0, -3], [280, 6300, -3024, -5859, -15498, -774]], 3),
+])
+def test_bareiss_scales_rows_with_a_zero_below_the_first_pivot(rows, expected):
+    # every row below a pivot is multiplied by it, a zero entry there too,
+    # or the next step divides rows that were never multiplied
+    assert bareiss_rank(rows, check=True) == expected
+    assert rank_int_sparse([dict(enumerate(r)) for r in rows]) == expected
+    assert rank(RationalMatrix(rows)) == expected
 
 
 def test_rref_and_nullspace():
@@ -144,6 +196,24 @@ def test_rank_q_dominates_rank_mod_p(rows, p):
 @given(_matrix_strategy)
 def test_bareiss_agrees_and_stays_integral(rows):
     assert bareiss_rank(rows, check=True) == gauss_rank(rows)
+
+
+#: Integer matrices without a unit entry, so that the unit-pivot pass of
+#: rank_int_sparse leaves all of them to Bareiss elimination.
+_unit_free_strategy = st.integers(1, 5).flatmap(
+    lambda nc: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, -9]), min_size=nc, max_size=nc),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@given(_unit_free_strategy)
+def test_unit_free_ranks_match_gauss_oracle(rows):
+    expected = gauss_rank(rows)
+    assert bareiss_rank(rows, check=True) == expected
+    assert rank_int_sparse([{j: v for j, v in enumerate(r) if v} for r in rows]) == expected
 
 
 @given(_matrix_strategy)

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import dualgraphs.lines as lines_module
 from dualgraphs.errors import HypothesisError, InputError
 from dualgraphs.graphs import complete_graph, hypercube_graph, path_graph, forbidden_pattern
+from dualgraphs.linalg import integer_row
 from dualgraphs.lines import (
     LineArrangement,
     ProjectiveLine,
@@ -62,6 +64,8 @@ def path_lines():
 def test_projective_line_validation():
     with pytest.raises(InputError):
         P(2, (1, 0, 0), (2, 0, 0))  # same point twice
+    with pytest.raises(InputError, match="the two points do not span a line"):
+        P(2, (Fraction(1, 2), 0, 0), (-3, 0, 0))
     with pytest.raises(InputError):
         P(2, (1, 0), (0, 1))  # wrong coordinate length
 
@@ -89,6 +93,9 @@ def test_intersects_identical_lines_error():
     l2 = P(2, (1, 1, 0), (1, -1, 0))  # same span
     with pytest.raises(InputError):
         intersects(l1, l2)
+    l3 = P(2, (Fraction(1, 3), Fraction(1, 3), 0), (1, -1, 0))
+    with pytest.raises(InputError, match="identical lines have no single intersection point"):
+        intersects(l1, l3)
 
 
 def test_canonical_point():
@@ -227,3 +234,55 @@ def test_arrangement_validation():
     l2 = P(2, (1, 1, 0), (1, -1, 0))
     with pytest.raises(InputError):
         LineArrangement(2, [l1, l2])
+    l3 = P(2, (Fraction(1, 3), Fraction(1, 3), 0), (1, -1, 0))
+    with pytest.raises(InputError, match="lines 1 and 2 coincide"):
+        LineArrangement(2, [l1, l3])
+
+
+def test_inexact_coordinate_is_a_type_error():
+    with pytest.raises(TypeError):
+        ProjectiveLine(2, (1.0, 0, 0), (0, 1, 0))
+    with pytest.raises(TypeError):
+        ProjectiveLine(2, (1, 0, 0), (0, Fraction(1, 2), 0.5))
+
+
+multipliers = st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(bool)
+
+
+@st.composite
+def line_sets(draw):
+    """(N, point pairs): 2-6 lines in P^N, N = 2 or 3, small integer points."""
+    n = draw(st.sampled_from([2, 3]))
+    point = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1)
+    return n, draw(st.lists(st.tuples(point, point), min_size=2, max_size=6))
+
+
+@given(line_sets(), st.data())
+def test_rescaled_points_keep_intersection_pairs(line_data, data):
+    n, pairs = line_data
+    try:
+        arr = LineArrangement(n, [P(n, p, q) for p, q in pairs])
+    except InputError:
+        assume(False)
+    scaled = []
+    for p, q in pairs:
+        a, b = data.draw(multipliers), data.draw(multipliers)
+        scaled.append(P(n, [a * x for x in p], [b * x for x in q]))
+    assert LineArrangement(n, scaled).intersection_pairs() == arr.intersection_pairs()
+
+
+def test_each_spanning_point_is_converted_once(monkeypatch):
+    calls = []
+
+    def counting(vec):
+        calls.append(vec)
+        return integer_row(vec)
+
+    monkeypatch.setattr(lines_module, "integer_row", counting)
+    arr = grid_lines()
+    assert len(calls) == 2 * arr.n_lines
+    # each meeting point is made primitive once, by canonical_point
+    pairs = arr.intersection_pairs()
+    dual_graph(arr)
+    canonical_hirsch_verdict(arr)
+    assert len(calls) == 2 * arr.n_lines + len(pairs) == 12 + 9

@@ -15,9 +15,11 @@ to change):
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,64 @@ def _lines(ambient_dim, lines):
     return json.dumps({"ambient_dim": ambient_dim, "lines": [{"points": ln} for ln in lines]})
 
 
+def _exact(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+#: Fractional, negative and non-primitive multipliers, used in turn.
+SCALES = [Fraction(-3, 2), 6, Fraction(5, 7), -4, Fraction(-2, 9), 10, Fraction(12, 5)]
+
+
+def _scaled_octahedron():
+    """The octahedron's coordinate arrangement in rational coordinates.
+
+    Each form e_i becomes row i of a unitriangular matrix with fractional
+    entries of both signs, times a multiplier from ``SCALES``; each
+    component also lists -12 times the sum of its first two forms.
+    """
+    n = 6
+    basis = [[Fraction(0) if j < i else Fraction(1) if j == i
+              else Fraction((-1) ** (i + j) * (j - i), i + 2) for j in range(n)]
+             for i in range(n)]
+    scales = itertools.cycle(SCALES)
+    components = []
+    for choice in range(8):
+        facet = {2 * i + (choice >> i & 1) for i in range(3)}
+        forms = [[s * x for x in basis[i]]
+                 for i, s in zip((i for i in range(n) if i not in facet), scales)]
+        forms.append([-12 * (a + b) for a, b in zip(forms[0], forms[1])])
+        components.append([[_exact(x) for x in form] for form in forms])
+    return json.dumps({"variables": n, "components": components})
+
+
+def _scaled_lines(ambient_dim, lines):
+    """Line JSON with every spanning point multiplied by the next of ``SCALES``."""
+    scales = itertools.cycle(SCALES)
+    return _lines(ambient_dim, [[[_exact(s * x) for x in pt] for pt, s in zip(ln, scales)]
+                                for ln in lines])
+
+
+#: Three lines through (6, -9, 10) plus two more, in P^2.
+_CONCURRENT_P2 = [
+    [[Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)], [1, 0, 0]],
+    [[Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)], [0, 1, Fraction(1, 3)]],
+    [[6, -9, 10], [2, 2, -3]],
+    [[1, 0, 0], [0, 0, 1]],
+    [[0, 1, 0], [1, 1, Fraction(7, 2)]],
+]
+#: The two rulings of the quadric xw = yz in P^3, spanned by other points
+#: of each line than in sample_inputs/grid_lines_p3.json.
+_GRID_P3 = [
+    [[1, 0, 2, 0], [3, 0, -1, 0]],
+    [[0, 1, 0, Fraction(1, 2)], [0, 2, 0, -3]],
+    [[1, 1, 1, 1], [2, 2, -1, -1]],
+    [[1, 1, 0, 0], [Fraction(1, 3), 0, 0, 0]],
+    [[0, 0, 1, 1], [0, 0, -2, 3]],
+    [[1, 1, 1, 1], [3, -2, 3, -2]],
+]
+
+
 #: (case name, CLI command, input file name, input text or generator, extra arguments)
 CASES = [
     ("four_lines_p2", "analyze-lines", "four_lines_p2.json", _sample("four_lines_p2.json"), ()),
@@ -80,6 +140,14 @@ CASES = [
     ("skew_lines", "analyze-arrangement", "skew.json", _coordinate([[0, 1], [2, 3]]), ()),
     ("zero_ideal", "analyze-arrangement", "zero.json",
      json.dumps({"variables": 3, "components": [[]]}), ()),
+    ("scaled_octahedron", "analyze-arrangement", "octahedron.json", _scaled_octahedron(), ()),
+    ("scaled_octahedron_section", "analyze-arrangement", "octahedron.json",
+     _scaled_octahedron(), ("--section", "1")),
+    ("scaled_octahedron_certified", "analyze-arrangement", "octahedron.json",
+     _scaled_octahedron(), ("--regularity-certificate", "3")),
+    ("scaled_concurrent_p2", "analyze-lines", "concurrent.json",
+     _scaled_lines(2, _CONCURRENT_P2), ()),
+    ("scaled_grid_p3", "analyze-lines", "grid.json", _scaled_lines(3, _GRID_P3), ()),
     *[(f"crosspolytope{r}", "analyze-complex", f"x{r}.facets", _generated("crosspolytope", r), ())
       for r in range(1, 5)],
     *[(f"simplex{d}", "analyze-complex", f"s{d}.facets", _generated("simplex", d), ())
