@@ -187,6 +187,18 @@ class SimplicialComplex:
         )
 
     @cached_property
+    def ridge_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """For each facet index, the ascending indices of the facets that
+        share a ridge with it (``ridge_pairs`` as adjacency lists), built
+        once for the non-revisiting search, the monotone marking and the
+        greedy shelling."""
+        adj: list[list[int]] = [[] for _ in self.facets]
+        for i, j in sorted(self.ridge_pairs):
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(tuple, adj))
+
+    @cached_property
     def faces(self) -> frozenset[int]:
         """All faces as masks, the empty face included."""
         if self.is_void:
@@ -217,9 +229,10 @@ class SimplicialComplex:
 
     @cached_property
     def memo(self) -> dict:
-        """Results other layers derive from this complex, under keys those
-        layers choose (``homology`` keeps its Betti profiles and link sweeps
-        here). They live and die with this instance."""
+        """Results derived from this complex, under keys the deriving code
+        chooses: ``core`` keeps the core here, ``homology`` its Betti
+        profiles, link sweeps and shelling, ``graphs`` its non-revisiting
+        verdict. They live and die with this instance."""
         return {}
 
     @cached_property
@@ -337,11 +350,14 @@ class SimplicialComplex:
 
     def core(self) -> "SimplicialComplex":
         """Restriction to the vertices that are not in every facet; the
-        complex itself when no vertex is in every facet."""
+        complex itself when no vertex is in every facet. Built once and kept
+        in ``memo``, so what other layers keep on the core outlives a call."""
         if self.cone_mask == 0:
             return self
-        full = (1 << self.n_vertices) - 1
-        return self.restrict_mask(full & ~self.cone_mask)
+        if "core" not in self.memo:
+            full = (1 << self.n_vertices) - 1
+            self.memo["core"] = self.restrict_mask(full & ~self.cone_mask)
+        return self.memo["core"]
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Join: facets are unions of a facet from each side.

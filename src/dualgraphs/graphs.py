@@ -366,6 +366,15 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
     Breadth-first over (facet, abandoned-set) states, so the result is a
     shortest non-revisiting path and ``None`` is a proof that none exists.
     Returns the path as a tuple of facet label tuples.
+
+    Most pairs never need this search. A *monotone* dual path from F to G
+    drops only vertices outside G and adds only vertices of G, so a dropped
+    vertex never comes back: the path is non-revisiting. Each step changes
+    one vertex, so its length |F \\ G| is the least any dual path can have,
+    and this search returns a path of exactly that length.
+    ``monotone_starts`` finds every F with a monotone path to G in one pass,
+    and ``first_pair_without_nonrevisiting_path`` searches only the pairs
+    it leaves open.
     """
     if not cx.is_pure:
         raise NonPureComplexError("non-revisiting search requires a pure complex")
@@ -379,10 +388,7 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
         raise InputError("endpoints must be facets") from None
     if si == gi:
         return (cx.labels_of(facets[si]),)
-    adj: dict[int, list[int]] = {i: [] for i in range(len(facets))}
-    for i, j in sorted(cx.ridge_pairs):
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = cx.ridge_neighbors
     start = (si, 0)
     parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
     queue = deque([start])
@@ -405,6 +411,53 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
                 parent[nxt] = state
                 queue.append(nxt)
     return None
+
+
+def monotone_starts(cx: SimplicialComplex, goal: int) -> frozenset[int]:
+    """Indices of the facets F joined to facet ``goal`` = G by a monotone
+    dual path (see ``non_revisiting_path``), G itself included.
+
+    A step from F to a neighbour F' is monotone exactly when |F' \\ G| =
+    |F \\ G| - 1, so one pass over the facets in increasing |F \\ G| marks
+    F when one of its neighbours one step closer is marked.
+    """
+    facets = cx.facets
+    goal_mask = facets[goal]
+    away = [(f & ~goal_mask).bit_count() for f in facets]
+    marked = [False] * len(facets)
+    marked[goal] = True
+    for i in sorted(range(len(facets)), key=away.__getitem__):
+        if not marked[i]:
+            marked[i] = any(marked[j] and away[j] == away[i] - 1
+                            for j in cx.ridge_neighbors[i])
+    return frozenset(i for i, m in enumerate(marked) if m)
+
+
+def first_pair_without_nonrevisiting_path(cx: SimplicialComplex):
+    """The first facet pair, in ``itertools.combinations`` order of the
+    facets, that no non-revisiting dual path joins, as two label tuples;
+    None when every pair is joined.
+
+    A pair whose start has a monotone path to its goal is settled without a
+    search; only the others go to ``non_revisiting_path``. The verdict does
+    not depend on a field, so it is kept on ``cx``.
+    """
+    if "nonrevisiting" not in cx.memo:
+        if not cx.is_pure:
+            raise NonPureComplexError("non-revisiting search requires a pure complex")
+        facets = cx.facets
+        open_pairs = []
+        for j in range(len(facets)):
+            marks = monotone_starts(cx, j)
+            open_pairs += [(i, j) for i in range(j) if i not in marks]
+        missing = None
+        for i, j in sorted(open_pairs):
+            pair = cx.labels_of(facets[i]), cx.labels_of(facets[j])
+            if non_revisiting_path(cx, *pair) is None:
+                missing = pair
+                break
+        cx.memo["nonrevisiting"] = missing
+    return cx.memo["nonrevisiting"]
 
 
 # -- forbidden induced pattern ------------------------------------------------

@@ -22,13 +22,26 @@ nonfaces inside a vertex set W, W is a face exactly when U(W) is empty, and
 its restriction is a cone with apex v exactly when v is in W but not in
 U(W). Both are acyclic over every field, so only a W with U(W) = W is built.
 
+Before any link is built, a pure complex is offered a shelling: an order
+F_1, ..., F_m of its facets in which each F_k meets F_1 u ... u F_{k-1} in
+a pure complex of one dimension less. A shellable complex is Cohen-Macaulay
+over every field, and a shellable pseudomanifold -- every ridge in exactly
+two facets -- is a PL sphere (Danaraj-Klee 1974), hence a homology sphere
+over every field; a shellable complex with a ridge in one facet or in three
+or more has a link of that ridge that is not a 0-sphere, so it is not one.
+The order is found greedily and re-verified against the h-vector (h_i
+counts the facets whose restriction set has i vertices). Only when the
+greedy pass gets stuck -- always on a complex that is not Cohen-Macaulay,
+sometimes on one that is -- does Reisner's link sweep run.
+
 Results are kept on the complex being analysed (``SimplicialComplex.memo``),
 per field: the profile of each link under its face mask in the complex, the
 profile of each restriction the regularity sweep builds under its vertex
 mask, and the Cohen-Macaulay and homology-sphere verdicts of the single
-link sweep that answers both. A Q sweep reads the GF(2) link profiles, so a
-report over Q and GF(2) builds each link once. Nothing is cached at module
-level: the results die with the complex.
+link sweep that answers both; and, for every field at once, the shelling.
+A Q sweep reads the GF(2) link profiles, so a report over Q and GF(2)
+builds each link once. Nothing is cached at module level: the results die
+with the complex.
 
 Torsion is invisible by design -- every question this package asks
 (vanishing below the top dimension, top Betti equal to one, Hochster-style
@@ -173,15 +186,21 @@ def _kept_profile(cx: SimplicialComplex, table: str, mask: int, field: FieldSpec
     ``cx`` under (table, field) and ``mask``.
 
     A Q profile comes from the GF(2) profile of the same subcomplex when
-    that certifies it, and from exact integer ranks otherwise.
+    that certifies it, and from exact integer ranks otherwise. Either way
+    the subcomplex is built at most once.
     """
     store = cx.memo.setdefault((table, field), {})
     bt = store.get(mask)
     if bt is None:
+        sub = None
         if field.is_rationals:
-            bt = _certified_by_gf2(_kept_profile(cx, table, mask, GF2, build))
+            mod2 = cx.memo.setdefault((table, GF2), {})
+            if mask not in mod2:
+                sub = build(cx, mask)
+                mod2[mask] = _ranks_profile(sub, GF2)
+            bt = _certified_by_gf2(mod2[mask])
         if bt is None:
-            bt = _ranks_profile(build(cx, mask), field)
+            bt = _ranks_profile(build(cx, mask) if sub is None else sub, field)
         store[mask] = bt
     return bt
 
@@ -202,24 +221,85 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = QQ) -> Betti
     return BettiProfile(cx, field, _link_betti(cx, 0, field))
 
 
-def _reisner_sweep(cx: SimplicialComplex, field: FieldSpec) -> tuple[bool, bool]:
-    """(Cohen-Macaulay, homology sphere) over ``field`` from one pass over
-    the links, kept on ``cx``.
+def greedy_shelling(cx: SimplicialComplex) -> tuple[int, ...] | None:
+    """A shelling order of the facets of the pure complex ``cx``, as facet
+    indices, or None when the greedy pass gets stuck; kept on ``cx``.
 
-    Each link profile bt lists b~_-1 .. b~_top; the entries below the top,
-    bt[:-1], must vanish for Cohen-Macaulayness, and a sphere also needs
-    bt[-1] == 1. The pass stops at the first link that is not acyclic below
-    its top, which rules out both.
+    With R(G) the vertices v such that G - v lies in a placed dual
+    neighbour of G, an unplaced facet G may come next when R(G) is nonempty
+    and (G \\ P) meets R(G) for every placed facet P: then every G n P lies
+    in some G - v with v in R(G). The pass places the first facet, then
+    always the lowest-indexed facet that may come next. Each candidate keeps
+    its R(G) and the list of placed facets that still block it, so the pass
+    takes O(d m^2) steps on m facets of d vertices.
+    """
+    if "shelling" not in cx.memo:
+        facets = cx.facets
+        m = len(facets)
+        placed = [False] * m
+        restriction = [0] * m
+        blockers: list[list[int]] = [[] for _ in range(m)]
+        h = [0] * (cx.dimension + 2)
+        order: list[int] = []
+        nxt: int | None = 0
+        while nxt is not None:
+            placed[nxt] = True
+            order.append(nxt)
+            h[restriction[nxt].bit_count()] += 1
+            fp = facets[nxt]
+            for j in cx.ridge_neighbors[nxt]:
+                v = facets[j] & ~fp
+                if not placed[j] and not restriction[j] & v:
+                    restriction[j] |= v
+                    blockers[j] = [p for p in blockers[j]
+                                   if not facets[j] & ~facets[p] & restriction[j]]
+            for j in range(m):
+                if not placed[j] and not facets[j] & ~fp & restriction[j]:
+                    blockers[j].append(nxt)
+            nxt = next((j for j in range(m) if not placed[j] and restriction[j]
+                        and not blockers[j]), None)
+        if len(order) < m:
+            cx.memo["shelling"] = None
+        elif tuple(h) != cx.h_vector:
+            raise AssertionError("shelling failed re-verification against the h-vector")
+        else:
+            cx.memo["shelling"] = tuple(order)
+    return cx.memo["shelling"]
+
+
+def _every_ridge_in_two_facets(cx: SimplicialComplex) -> bool:
+    """Each facet has one dual neighbour across each of its ridges."""
+    for f, neighbors in zip(cx.facets, cx.ridge_neighbors):
+        dropped = 0
+        for j in neighbors:
+            dropped |= f & ~cx.facets[j]
+        if len(neighbors) != f.bit_count() or dropped != f:
+            return False
+    return True
+
+
+def _reisner_sweep(cx: SimplicialComplex, field: FieldSpec) -> tuple[bool, bool]:
+    """(Cohen-Macaulay, homology sphere) over ``field``, kept on ``cx``.
+
+    A greedy shelling answers both for every field (module docstring).
+    Without one, a pass over the links decides: each link profile bt lists
+    b~_-1 .. b~_top; the entries below the top, bt[:-1], must vanish for
+    Cohen-Macaulayness, and a sphere also needs bt[-1] == 1. The pass stops
+    at the first link that is not acyclic below its top, which rules out
+    both.
     """
     key = ("reisner", field)
     if key not in cx.memo:
-        cm = sphere = True
-        for mask in sorted(cx.faces):
-            bt = _link_betti(cx, mask, field)
-            if any(bt[:-1]):
-                cm = sphere = False
-                break
-            sphere = sphere and bt[-1] == 1
+        if cx.is_pure and greedy_shelling(cx) is not None:
+            cm, sphere = True, _every_ridge_in_two_facets(cx)
+        else:
+            cm = sphere = True
+            for mask in sorted(cx.faces):
+                bt = _link_betti(cx, mask, field)
+                if any(bt[:-1]):
+                    cm = sphere = False
+                    break
+                sphere = sphere and bt[-1] == 1
         cx.memo[key] = (cm, sphere)
     return cx.memo[key]
 

@@ -90,6 +90,12 @@ def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
         raise InputError("identical lines have no single intersection point")
     if r == 4:
         return None
+    return _meeting_point(l1, l2)
+
+
+def _meeting_point(l1: ProjectiveLine, l2: ProjectiveLine) -> tuple[int, ...]:
+    """Canonical meeting point of two lines whose stacked spanning points
+    have rank 3."""
     columns = RationalMatrix(
         [[l1.p[i], l1.q[i], l2.p[i], l2.q[i]] for i in range(l1.ambient_dim + 1)]
     )
@@ -104,8 +110,10 @@ def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
 class LineArrangement:
     """Finitely many pairwise distinct lines in a common P^N (N >= 2).
 
-    The arrangement never changes, so its intersection pairs and its dual
-    graph are computed on first use and kept on the instance.
+    The constructor takes each pair's stacked rank once, which both rejects
+    coinciding lines and finds the pairs that meet. The arrangement never
+    changes, so its meeting points and its dual graph are computed on first
+    use and kept on the instance.
     """
 
     def __init__(self, ambient_dim: int, lines):
@@ -120,10 +128,16 @@ class LineArrangement:
                 raise InputError("all lines must share the ambient dimension")
         if not self.lines:
             raise InputError("arrangement needs at least one line")
+        # one stacked rank per pair: 2 means the lines coincide, 3 that they
+        # meet in a point, 4 that they are skew
+        self._meeting = []
         for i in range(len(self.lines)):
             for j in range(i + 1, len(self.lines)):
-                if same_line(self.lines[i], self.lines[j]):
+                r = rank_int_sparse(self.lines[i].rows + self.lines[j].rows)
+                if r == 2:
                     raise InputError(f"lines {i + 1} and {j + 1} coincide")
+                if r == 3:
+                    self._meeting.append((i, j))
         self._intersections = None
         self._dual_graph = None
 
@@ -134,13 +148,10 @@ class LineArrangement:
     def intersection_pairs(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """All meeting index pairs with their canonical points."""
         if self._intersections is None:
-            out = {}
-            for i in range(self.n_lines):
-                for j in range(i + 1, self.n_lines):
-                    pt = intersects(self.lines[i], self.lines[j])
-                    if pt is not None:
-                        out[(i, j)] = pt
-            self._intersections = out
+            self._intersections = {
+                (i, j): _meeting_point(self.lines[i], self.lines[j])
+                for i, j in self._meeting
+            }
         return self._intersections
 
 

@@ -171,10 +171,11 @@ def _h_degree(cx):
 
 def _verify_nonrevisiting(g, cx, f):
     diam, height = graph_mod.diameter(g), cx.height()
-    for f1, f2 in itertools.combinations(cx.facet_labels(), 2):
-        if graph_mod.non_revisiting_path(cx, f1, f2) is None:
-            return False, (f"no non-revisiting path between"
-                           f" {','.join(map(str, f1))} and {','.join(map(str, f2))}")
+    missing = graph_mod.first_pair_without_nonrevisiting_path(cx)
+    if missing is not None:
+        f1, f2 = missing
+        return False, (f"no non-revisiting path between"
+                       f" {','.join(map(str, f1))} and {','.join(map(str, f2))}")
     if diam > height:
         return False, f"diameter {_diam_value(diam)} > height {height}"
     return True, (f"paths found for all {g.n * (g.n - 1) // 2} facet pairs,"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, inf
 
 from dualgraphs.complexes import SimplicialComplex
-from dualgraphs.graphs import Graph
+from dualgraphs.graphs import Graph, diameter, non_revisiting_path
 from dualgraphs.homology import boundary_matrix
 
 
@@ -224,6 +224,22 @@ def bf_nonrevisiting_exists(cxv: SimplicialComplex, f1, f2) -> bool:
     return walk(i1, {i1}, 0)
 
 
+def all_pairs_nonrevisiting_verdict(g: Graph, cxv: SimplicialComplex):
+    """(passed, detail) of the report check ``flag_cm_nonrevisiting`` on the
+    dual graph ``g`` of ``cxv``, by the exact search on every facet pair in
+    ``itertools.combinations`` order."""
+    for f1, f2 in itertools.combinations(cxv.facet_labels(), 2):
+        if non_revisiting_path(cxv, f1, f2) is None:
+            return False, (f"no non-revisiting path between"
+                           f" {','.join(map(str, f1))} and {','.join(map(str, f2))}")
+    diam, height = diameter(g), cxv.height()
+    shown = "infinite" if diam == inf else diam
+    if diam > height:
+        return False, f"diameter {shown} > height {height}"
+    return True, (f"paths found for all {g.n * (g.n - 1) // 2} facet pairs,"
+                  f" diameter {shown} <= height {height}")
+
+
 # -- complexes -----------------------------------------------------------------
 
 
@@ -248,6 +264,39 @@ def bf_reduced_betti(cxv: SimplicialComplex, field) -> list:
     maps = [boundary_matrix(cxv, i) for i in range(-1, cxv.dimension + 1)]
     ranks = [field_rank(d.entries) for d in maps] + [0]
     return [d.cols - ranks[j] - ranks[j + 1] for j, d in enumerate(maps)]
+
+
+def bf_reisner(cxv: SimplicialComplex, field) -> tuple[bool, bool]:
+    """(Cohen-Macaulay, homology sphere) over ``field`` by Reisner's
+    criterion, from ``bf_reduced_betti`` of the link of every face, each
+    link rebuilt from the facets that contain the face."""
+    facets = [frozenset(f) for f in cxv.facet_labels()]
+    faces = {frozenset(sub) for f in facets
+             for k in range(len(f) + 1) for sub in itertools.combinations(f, k)}
+    profiles = []
+    for face in faces:
+        link = [f - face for f in facets if face <= f]
+        if link == [frozenset()]:
+            profiles.append([1])  # a facet's link is the empty complex
+        else:
+            profiles.append(bf_reduced_betti(SimplicialComplex.from_facets(link), field))
+    cm = all(not any(bt[:-1]) for bt in profiles)
+    return cm, cm and all(bt[-1] == 1 for bt in profiles)
+
+
+def bf_is_shelling(cxv: SimplicialComplex, order) -> bool:
+    """Whether ``order``, a sequence of facet label tuples, lists every facet
+    of ``cxv`` once and each F_k meets F_1 u ... u F_{k-1} in a complex
+    whose maximal faces all have one vertex less than F_k."""
+    placed = [frozenset(f) for f in order]
+    if sorted(map(sorted, placed)) != sorted(map(sorted, cxv.facet_labels())):
+        return False
+    for k, fk in enumerate(placed):
+        cuts = {fk & f for f in placed[:k]}
+        maximal = [c for c in cuts if not any(c < o for o in cuts)]
+        if any(len(c) != len(fk) - 1 for c in maximal):
+            return False
+    return True
 
 
 def bf_regularity(cxv: SimplicialComplex, field):

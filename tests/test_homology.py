@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from collections import Counter
 
@@ -233,7 +234,7 @@ def test_sphere_q_profile_comes_from_gf2(monkeypatch):
     assert calls == []
 
 
-def test_report_builds_each_link_once(monkeypatch):
+def _count_link_builds(monkeypatch) -> Counter:
     builds = Counter()
     link_mask = SimplicialComplex.link_mask
 
@@ -242,11 +243,49 @@ def test_report_builds_each_link_once(monkeypatch):
         return link_mask(self, mask)
 
     monkeypatch.setattr(SimplicialComplex, "link_mask", counting_link_mask)
-    c = crosspolytope_boundary(4)
+    return builds
+
+
+def test_report_builds_each_link_once(monkeypatch):
+    builds = _count_link_builds(monkeypatch)
+    # a shelling settles the crosspolytope without any link
+    build_complex_report(crosspolytope_boundary(4), (QQ, GF2))
+    assert not builds
+    # neither is shellable; both are Cohen-Macaulay over Q, so the Q sweep
+    # visits every face, and either field reads the profiles the other kept
+    for facets, fields in itertools.product((RP2_FACETS, RP2_SUSPENSION),
+                                            ((QQ, GF2), (GF2, QQ))):
+        builds.clear()
+        c = cx(facets)
+        build_complex_report(c, fields)
+        assert homology.greedy_shelling(c) is None
+        # one link per nonempty face; the empty face's link is the complex itself
+        assert len(builds) == len(c.faces) - 1
+        assert max(builds.values()) == 1
+
+
+CONE_OVER_RP2 = [f + ("apex",) for f in RP2_FACETS]
+
+
+def test_the_core_is_built_once(monkeypatch):
+    builds = _count_link_builds(monkeypatch)
+    c = cx(CONE_OVER_RP2)
+    assert c.core() is c.core() == cx(RP2_FACETS)
     build_complex_report(c, (QQ, GF2))
-    # one link per nonempty face; the empty face's link is the complex itself
-    assert len(builds) == len(c.faces) - 1
+    # the GF(2) sweeps of the cone and of its core read the profiles that
+    # the Q sweeps kept
     assert max(builds.values()) == 1
+    assert is_cohen_macaulay(c, QQ) and not is_gorenstein(c, QQ)
+
+
+def test_a_q_sweep_after_gf2_rebuilds_only_links_with_torsion(monkeypatch):
+    builds = _count_link_builds(monkeypatch)
+    c = cx(CONE_OVER_RP2)
+    build_complex_report(c, (GF2, QQ))
+    # the GF(2) sweep of the cone stops at the apex, whose link is RP^2; the
+    # Q sweep reads the profiles kept before it, and rebuilds only that link,
+    # as the GF(2) profile (0, 0, 1, 1) does not settle its Q profile
+    assert [key for key, n in builds.items() if n > 1] == [(c.facets, c.mask_of(["apex"]))]
 
 
 @pytest.mark.parametrize("facets", [

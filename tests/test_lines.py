@@ -286,3 +286,33 @@ def test_each_spanning_point_is_converted_once(monkeypatch):
     dual_graph(arr)
     canonical_hirsch_verdict(arr)
     assert len(calls) == 2 * arr.n_lines + len(pairs) == 12 + 9
+
+
+@given(line_sets())
+def test_intersection_pairs_match_pairwise_intersects(line_data):
+    n, pairs = line_data
+    try:
+        arr = LineArrangement(n, [P(n, p, q) for p, q in pairs])
+    except InputError:
+        assume(False)
+    expected = {}
+    for i in range(arr.n_lines):
+        for j in range(i + 1, arr.n_lines):
+            pt = intersects(arr.lines[i], arr.lines[j])
+            if pt is not None:
+                expected[(i, j)] = pt
+    assert arr.intersection_pairs() == expected
+
+
+def test_each_line_pair_is_ranked_once(monkeypatch):
+    lines = grid_lines().lines
+    calls = []
+    rank = lines_module.rank_int_sparse
+    monkeypatch.setattr(lines_module, "rank_int_sparse",
+                        lambda rows: calls.append(len(rows)) or rank(rows))
+    arr = LineArrangement(3, lines)
+    arr.intersection_pairs()
+    dual_graph(arr)
+    canonical_hirsch_verdict(arr)
+    # one stacked rank per pair of the 6 lines, none for the meeting points
+    assert calls == [4] * 15

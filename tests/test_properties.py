@@ -56,13 +56,13 @@ def complexes(draw, max_vertices=6, max_facets=7):
 
 
 @st.composite
-def pure_complexes(draw, max_vertices=6):
+def pure_complexes(draw, max_vertices=6, max_facets=10):
     n = draw(st.integers(2, max_vertices))
     k = draw(st.integers(1, n))
     all_k = list(itertools.combinations(range(1, n + 1), k))
     chosen = draw(
-        st.lists(st.sampled_from(all_k), min_size=1, max_size=min(10, len(all_k)),
-                 unique=True)
+        st.lists(st.sampled_from(all_k), min_size=1,
+                 max_size=min(max_facets, len(all_k)), unique=True)
     )
     return SimplicialComplex.from_facets(chosen)
 
