@@ -340,33 +340,26 @@ def is_normal(cx: SimplicialComplex) -> bool:
     """Strong connectivity of the complex and of the stars of all its faces.
 
     Purely combinatorial: two facets are adjacent when they share a face of
-    one dimension less, and every star must stay connected that way.
+    one dimension less -- on a pure complex, the ridge relation
+    ``cx.ridge_neighbors`` -- and every star must stay connected that way.
     """
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
     if not cx.is_pure:
         raise NonPureComplexError("normality requires a pure complex")
-    for mask in sorted(cx.faces):
-        star_facets = [f for f in cx.facets if f & mask == mask]
-        if not _facets_strongly_connected(star_facets):
+    facets = cx.facets
+    for mask in cx.faces:
+        star = [i for i, f in enumerate(facets) if f & mask == mask]
+        seen = {star[0]}
+        stack = [star[0]]
+        while stack:
+            for j in cx.ridge_neighbors[stack.pop()]:
+                if j not in seen and facets[j] & mask == mask:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != len(star):
             return False
     return True
-
-
-def _facets_strongly_connected(facets: list[int]) -> bool:
-    k = len(facets)
-    if k <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        fa = facets[a]
-        for b in range(k):
-            if b not in seen and bin(fa ^ facets[b]).count("1") == 2:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == k
 
 
 def regularity(

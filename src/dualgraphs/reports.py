@@ -378,7 +378,7 @@ def build_complex_report(
     normal = homology.is_normal(cx) if pure else None
     results = []
     report["fields"] = {}
-    for field in fields:
+    for field in dict.fromkeys(fields):  # a repeated field is analyzed once
         cert = homology.regularity(cx, field, max_vertices=max_hochster_n)
         betti = homology.reduced_betti_numbers(cx, field)
         result = _FieldResult(

@@ -137,6 +137,72 @@ def bf_edge_connectivity(g: Graph) -> int:
     return best
 
 
+def _side_of(g: Graph, s, removed) -> set:
+    """The vertices reachable from s in g without the removed vertices."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _source_closest(cuts):
+    """Of (s-side, cut) pairs of one least value, the cut whose s-side lies
+    inside every other s-side; asserts that this one exists."""
+    side, cut = min(cuts, key=lambda c: len(c[0]))
+    assert all(side <= other for other, _ in cuts), "no inclusion-minimal s-side"
+    return cut
+
+
+def bf_vertex_cut_witness(g: Graph):
+    """(kappa, cut) as ``vertex_connectivity`` documents them, by subset
+    enumeration: over the pairs of its schedule, the first pair of least
+    local value, and of that pair's minimum separators the one whose
+    s-side is inclusion-minimal; (n-1, None) for complete graphs."""
+    if g.is_complete():
+        return g.n - 1, None
+    v = min(g.vertices, key=lambda u: (g.degree(u), g.vertices.index(u)))
+    pairs = [(v, u) for u in g.vertices if u != v and not g.has_edge(u, v)]
+    pairs += [(a, b) for a, b in itertools.combinations(g.neighbors(v), 2)
+              if not g.has_edge(a, b)]
+    best = None
+    for s, t in pairs:
+        others = [w for w in g.vertices if w not in (s, t)]
+        for size in range(len(others) + 1):
+            sides = [(_side_of(g, s, set(cut)), cut)
+                     for cut in itertools.combinations(others, size)]
+            cuts = [(side, cut) for side, cut in sides if t not in side]
+            if cuts:
+                break
+        if best is None or size < best[0]:
+            best = size, _source_closest(cuts)
+    return best
+
+
+def bf_edge_cut_witness(g: Graph):
+    """(lambda, cut) as ``edge_connectivity`` documents them, by bipartition
+    enumeration: over the pairs (first vertex, t), the first pair of least
+    local value, and of its minimum cuts the one whose s-side is
+    inclusion-minimal; the cut lists edges in ``g.edges`` order."""
+    s = g.vertices[0]
+    best = None
+    for t in g.vertices[1:]:
+        rest = [w for w in g.vertices if w not in (s, t)]
+        cuts = []
+        for size in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, size):
+                side = {s, *extra}
+                cuts.append((side, tuple(e for e in g.edges
+                                         if (e[0] in side) != (e[1] in side))))
+        value = min(len(cut) for _, cut in cuts)
+        if best is None or value < best[0]:
+            best = value, _source_closest([c for c in cuts if len(c[1]) == value])
+    return best
+
+
 def bf_diameter(g: Graph):
     dist = {v: {v: 0} for v in g.vertices}
     for v in g.vertices:
@@ -241,6 +307,29 @@ def all_pairs_nonrevisiting_verdict(g: Graph, cxv: SimplicialComplex):
 
 
 # -- complexes -----------------------------------------------------------------
+
+
+def bf_is_normal(cxv: SimplicialComplex) -> bool:
+    """Every star, the empty face's (the whole complex) included, stays
+    connected when two facets are adjacent if they share all but one
+    vertex; faces and stars from the facet label sets."""
+    facets = [frozenset(f) for f in cxv.facet_labels()]
+    d = len(facets[0]) - 1
+    faces = {frozenset(face) for f in facets for size in range(len(f) + 1)
+             for face in itertools.combinations(f, size)}
+    for face in faces:
+        star = [f for f in facets if face <= f]
+        seen = {star[0]}
+        stack = [star[0]]
+        while stack:
+            a = stack.pop()
+            for b in star:
+                if b not in seen and len(a & b) == d:
+                    seen.add(b)
+                    stack.append(b)
+        if len(seen) != len(star):
+            return False
+    return True
 
 
 def bf_minimal_nonfaces(cxv: SimplicialComplex):

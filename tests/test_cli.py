@@ -93,6 +93,16 @@ def test_multiple_fields(capsys, tmp_path):
     assert "[Q]" in out and "[GF(2)]" in out
 
 
+def test_repeated_field_is_analyzed_once(capsys, tmp_path):
+    path = tmp_path / "s2.facets"
+    run(capsys, "generate", "crosspolytope", "3", "--out", str(path))
+    _, repeated, _ = run(capsys, "analyze-complex", str(path), "--format", "json",
+                         "--field", "q", "--field", "Q", "--field", "gf:2")
+    _, once, _ = run(capsys, "analyze-complex", str(path), "--format", "json",
+                     "--field", "q", "--field", "gf:2")
+    assert repeated == once
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "analyze-complex", "/no/such/file")
     assert code == 1 and "error:" in err

@@ -37,10 +37,12 @@ from dualgraphs.graphs import (
 from oracles import (
     bf_diameter,
     bf_edge_connectivity,
+    bf_edge_cut_witness,
     bf_find_induced,
     first_induced_embedding,
     bf_nonrevisiting_exists,
     bf_vertex_connectivity,
+    bf_vertex_cut_witness,
     cx,
 )
 
@@ -290,6 +292,26 @@ def test_connectivity_matches_bruteforce_small():
         assert lam == bf_edge_connectivity(g)
         assert kappa <= lam <= g.min_degree()
         assert diameter(g) == bf_diameter(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 9))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = list(itertools.combinations(labels, 2))
+    return Graph(labels, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@given(small_graphs())
+@example(path_graph(9))
+@example(complete_graph(9))
+@example(complete_graph(2))
+@example(Graph(["a", "b"], []))
+@example(Graph.from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")], isolated=["f"]))
+@example(hypercube_graph(3))
+def test_connectivity_reports_the_source_closest_cut_of_the_first_least_pair(g):
+    assert vertex_connectivity(g) == bf_vertex_cut_witness(g)
+    assert edge_connectivity(g) == bf_edge_cut_witness(g)
 
 
 def test_dual_graph_of_join_is_product():

@@ -22,6 +22,7 @@ from dualgraphs.graphs import (
 from dualgraphs.homology import (
     boundary_matrix,
     is_cohen_macaulay,
+    is_normal,
     reduced_betti_numbers,
     regularity,
 )
@@ -29,6 +30,7 @@ from dualgraphs.linalg import QQ, prime_field
 from oracles import (
     all_antichain_complexes,
     bf_edge_connectivity,
+    bf_is_normal,
     bf_vertex_connectivity,
     hilbert_h_vector,
     bf_minimal_nonfaces,
@@ -245,3 +247,8 @@ def test_dual_adjacency_is_symmetric_difference_two(c):
     for i, j in itertools.combinations(range(len(facets)), 2):
         expected = bin(facets[i] ^ facets[j]).count("1") == 2
         assert ((i, j) in edges) == expected
+
+
+@given(pure_complexes())
+def test_is_normal_matches_star_oracle(c):
+    assert is_normal(c) == bf_is_normal(c)
