@@ -11,9 +11,15 @@ over the common height. A zero component next to other components makes
 the arrangement mixed, so its dual graph is undefined. Containment between
 components is not checked.
 
-Each form is converted once, by the constructor, to its primitive integer
-row (``linalg.integer_row``) for every height and stacked rank; ``components``
-keeps the listed Fractions for equality and JSON output.
+That stacked rank is how adjacency is defined, not how it is computed. Each
+form is converted once, by the constructor, to its primitive integer row
+(``linalg.integer_vector``), and each component gets one integer kernel
+basis N_i by fraction-free Gauss-Jordan (``linalg.integer_kernel``), whose
+rank is its height h. Stacking the rows A_j of another component gives
+rank h + rank(A_j N_i), so a pair only asks whether the small image A_j N_i
+is zero (the same row space), of rank one (a dual edge) or of more
+(``linalg.kernel_image``). ``components`` keeps the listed Fractions for
+equality and JSON output.
 
 Everything is exact; the only randomness is the seeded generic hyperplane
 section, which verifies its own postconditions and retries with the next
@@ -22,7 +28,6 @@ seed rather than arguing genericity symbolically.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -39,7 +44,13 @@ from .graphs import (
     is_k_connected,
     vertex_connectivity,
 )
-from .linalg import integer_row, parse_rational_vector, rank_int_sparse, rational_to_json
+from .linalg import (
+    integer_kernel,
+    integer_vector,
+    kernel_image,
+    parse_rational_vector,
+    rational_to_json,
+)
 
 _SECTION_COEFF_MAX = 2**16
 _SECTION_MAX_ATTEMPTS = 32
@@ -53,10 +64,12 @@ class SubspaceArrangement:
     their row spaces. Two components with the same row space are rejected;
     one containing another is not.
 
-    The constructor computes the stacked rank of every pair of components of
-    equal height and keeps the pairs whose stacked rank exceeds that height
-    by exactly one: the dual edges. The dual graph is built from them on
-    first use and kept on the instance.
+    The constructor finds, for every pair of components of equal height,
+    whether their stacked rank exceeds that height by exactly one, and
+    keeps those pairs: the dual edges. It does so by one integer kernel per
+    component and a rank-one test per pair (see the module docstring). The
+    dual graph is built from the edges on first use and kept on the
+    instance.
     """
 
     def __init__(self, n_vars: int, components):
@@ -77,19 +90,27 @@ class SubspaceArrangement:
         if not comps:
             raise InputError("arrangement needs at least one component")
         self.components = tuple(comps)
-        rows = [[integer_row(form) for form in c] for c in comps]
-        self._heights = tuple(rank_int_sparse(r) for r in rows)
+        rows = [[integer_vector(form) for form in c] for c in comps]
+        heights = []
+        same = []
         self._adjacent_pairs = set()
-        for i, j in itertools.combinations(range(len(comps)), 2):
-            if self._heights[i] != self._heights[j]:
-                continue
-            stacked = rank_int_sparse(rows[i] + rows[j])
-            if stacked == self._heights[i]:
-                raise InputError(
-                    f"components {i + 1} and {j + 1} have the same row space"
-                )
-            if stacked == self._heights[i] + 1:
-                self._adjacent_pairs.add((i, j))
+        # one kernel at a time, tested against the rows of every earlier
+        # component of its height: the stacked rank exceeds the height by
+        # the rank of the image
+        for j, comp_rows in enumerate(rows):
+            h, kernel = integer_kernel(comp_rows, n_vars)
+            for i in range(j):
+                if heights[i] == h:
+                    extra, _ = kernel_image(rows[i], kernel)
+                    if extra == 0:
+                        same.append((i, j))
+                    elif extra == 1:
+                        self._adjacent_pairs.add((i, j))
+            heights.append(h)
+        if same:
+            i, j = min(same)
+            raise InputError(f"components {i + 1} and {j + 1} have the same row space")
+        self._heights = tuple(heights)
         self._dual_graph = None
 
     @property

@@ -3,12 +3,20 @@
 Ranks and nullities drive every height, homology, and incidence computation
 in this package, so everything here is exact: arbitrary-precision integers
 and fractions, no floats. Over Q each row becomes its primitive integer
-multiple through ``integer_row`` (callers ranking the same rows often convert
-them once) and ``rank_int_sparse`` runs a unit-pivot pass, which removes the
-bulk of the rank without coefficient growth, then fraction-free (Bareiss)
-elimination on the small dense remainder. GF(p) reduces entries mod p, never
-via ``integer_row``: dividing by the gcd can change the rank mod p, (p, 2p)
+multiple through ``integer_vector`` (dense) or ``integer_row`` (sparse), and
+``rank_int_sparse`` runs a unit-pivot pass, which removes the bulk of the
+rank without coefficient growth, then fraction-free (Bareiss) elimination on
+the small dense remainder. GF(p) reduces entries mod p, never via
+``integer_row``: dividing by the gcd can change the rank mod p, (p, 2p)
 becoming (1, 2). GF(2) reduces columns packed into ints by XOR.
+
+The geometry modules ask rank questions about pairs: is the rank of A
+stacked on B equal to rank A, rank A + 1, or more? That rank is
+rank A + rank(B N) for any basis N of the kernel of A. So ``integer_kernel``
+computes rank A and an integer N once per A, by fraction-free Gauss-Jordan,
+and ``kernel_image`` answers each pair by a rank-one test on the small image
+B N, stopping at the first image row not proportional to the first nonzero
+one. No stacked matrix is ranked.
 
 All functions are pure and deterministic: pivots are chosen by a fixed rule,
 never randomly.
@@ -21,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import FieldError, InputError
 
@@ -147,23 +156,25 @@ class RationalMatrix:
         )
 
 
-def integer_row(vec) -> dict[int, int]:
-    """The primitive integer multiple of a rational vector, as a sparse row.
+def integer_vector(vec) -> tuple[int, ...]:
+    """The primitive integer multiple of a rational vector, as a dense tuple.
 
     Scaled by the lcm of the denominators, then divided by the gcd, in
-    integer arithmetic only; signs are kept and the zero vector gives {}.
+    integer arithmetic only; signs are kept and the zero vector stays zero.
     An entry that is not an int or a Fraction is a TypeError.
     """
-    row = {}
-    for j, x in enumerate(vec):
+    for x in vec:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"entry {x!r} is not an exact rational")
-        if x:
-            row[j] = x
-    scale = lcm(*(x.denominator for x in row.values()))
-    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-    g = gcd(*ints.values())
-    return {j: v // g for j, v in ints.items()}
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
+
+
+def integer_row(vec) -> dict[int, int]:
+    """``integer_vector(vec)`` as a sparse row: its nonzero entries by index."""
+    return {j: v for j, v in enumerate(integer_vector(vec)) if v}
 
 
 def bareiss_rank(rows, check: bool = False) -> int:
@@ -277,6 +288,82 @@ def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
             dense.append(row)
         rank += bareiss_rank(dense)
     return rank
+
+
+def integer_kernel(rows, width: int):
+    """Rank and an integer basis of the right kernel of dense integer rows.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): pivot k, the
+    first nonzero entry of column c among the rows not yet used, updates
+    every other row to (p_k * row - row[c] * top) / p_{k-1}, with p_0 = 1.
+    Every entry stays a minor of the input, so every division is exact, and
+    at the end each pivot row holds the last pivot d in its pivot column and
+    zero in the others. The basis has one vector per free column f: d at f,
+    minus the row entries at f in the pivot columns, divided by its gcd and
+    signed so that the entry at f is positive. Each vector is re-verified to
+    annihilate every input row.
+    """
+    m = [list(r) for r in rows if any(r)]
+    pivots = []
+    prev = 1
+    for c in range(width):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == rank:
+                continue
+            f = row[c]
+            m[i] = [(x * p - f * t) // prev for x, t in zip(row, top)]
+        pivots.append(c)
+        prev = p
+    pivot_set = set(pivots)
+    sign = 1 if prev > 0 else -1
+    basis = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        vec = [0] * width
+        vec[f] = prev
+        for row, c in zip(m, pivots):
+            vec[c] = -row[f]
+        g = gcd(*vec) * sign
+        vec = tuple(x // g for x in vec)
+        if any(sum(map(mul, r, vec)) for r in rows):
+            raise AssertionError("integer kernel vector does not annihilate the rows")
+        basis.append(vec)
+    return len(pivots), basis
+
+
+def kernel_image(rows, basis) -> tuple[int, list[list[int]]]:
+    """Rank, capped at 2, of the image r -> (r.v for v in basis) of integer
+    rows, with the image rows computed so far.
+
+    Each image row is cross-multiplied against the first nonzero one, and
+    the scan stops at the first row not proportional to it: rank 2 then
+    means "2 or more". With ``basis`` an integer kernel basis of a matrix
+    A of rank h, h plus this rank is the rank of A stacked on ``rows``.
+    """
+    image = []
+    lead = None
+    for r in rows:
+        im = [sum(map(mul, r, v)) for v in basis]
+        image.append(im)
+        if lead is None:
+            t = next((t for t, x in enumerate(im) if x), None)
+            if t is not None:
+                lead, lead_t = im, t
+            continue
+        a, b = lead[lead_t], im[lead_t]
+        if any(x * a != y * b for x, y in zip(im, lead)):
+            return 2, image
+    return (0 if lead is None else 1), image
 
 
 def _mod_p_rows(matrix: RationalMatrix, p: int) -> list[dict[int, int]]:

@@ -1,15 +1,19 @@
 """Arrangements of projective lines over Q.
 
 A line in P^N is stored as two spanning points (homogeneous rational
-coordinate vectors), so every incidence question is a rank computation that
-works uniformly in any ambient dimension: two distinct lines meet exactly
-when their four spanning points have rank 3, and the meeting point is the
-one-dimensional intersection of the two row spans.
+coordinate vectors). Two distinct lines meet exactly when their four
+spanning points have rank 3, and the meeting point is the one-dimensional
+intersection of the two row spans; this works in any ambient dimension.
 
-Each spanning point is converted once, when its line is built, to its
-primitive integer row (``ProjectiveLine.rows``), on which every rank test
-runs; ``p`` and ``q`` keep the listed Fractions for equality, JSON output
-and the meeting point.
+That rank is the definition; it is computed per line, not per pair. Each
+spanning point is converted once, when its line is built, to its primitive
+integer row, and the line gets one integer basis N of the kernel of its two
+rows (``linalg.integer_kernel``), which also checks that they span a line.
+The four points of a pair have rank 2 + rank of the image (a, b) of the
+other line's rows p', q' under N (``linalg.kernel_image``): image zero, the
+lines coincide; rank one, they meet; rank two, they are skew. A rank-one
+image gives the meeting point directly: b_k p' - a_k q' for the first k
+with (a_k, b_k) nonzero lies in the row span of both lines.
 
 Intersection points are canonicalized to primitive integer vectors with a
 positive leading coordinate, which turns triple-point detection into set
@@ -25,16 +29,17 @@ from math import inf
 
 from .errors import HypothesisError, InputError
 from .graphs import Graph, diameter, edge_connectivity, is_k_connected
-from .linalg import RationalMatrix, integer_row, nullspace, parse_rational_vector
-from .linalg import rank_int_sparse, rational_to_json
+from .linalg import integer_kernel, integer_vector, kernel_image, parse_rational_vector
+from .linalg import rational_to_json
 
 
 @dataclass(frozen=True)
 class ProjectiveLine:
     """A line in P^N spanned by two independent points.
 
-    ``rows`` holds them as primitive integer rows. It is not a dataclass
-    field, so equality and the hash read ``p`` and ``q`` only.
+    ``rows`` holds them as primitive integer rows and ``kernel`` an integer
+    basis of the N - 1 dimensional kernel of those rows. Neither is a
+    dataclass field, so equality and the hash read ``p`` and ``q`` only.
     """
 
     ambient_dim: int
@@ -49,10 +54,12 @@ class ProjectiveLine:
                 raise InputError(
                     f"point needs {self.ambient_dim + 1} homogeneous coordinates"
                 )
-        rows = (integer_row(self.p), integer_row(self.q))
-        if rank_int_sparse(rows) != 2:
+        rows = (integer_vector(self.p), integer_vector(self.q))
+        span, kernel = integer_kernel(rows, self.ambient_dim + 1)
+        if span != 2:
             raise InputError("the two points do not span a line")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "kernel", kernel)
 
     @classmethod
     def through(cls, ambient_dim: int, p, q) -> "ProjectiveLine":
@@ -65,55 +72,52 @@ class ProjectiveLine:
 
 def canonical_point(vec) -> tuple[int, ...]:
     """Primitive integer representative with positive leading coordinate."""
-    row = integer_row(vec)
-    if not row:
+    row = integer_vector(vec)
+    lead = next((x for x in row if x), 0)
+    if not lead:
         raise InputError("the zero vector is not a projective point")
-    sign = -1 if row[min(row)] < 0 else 1
-    return tuple(sign * row.get(j, 0) for j in range(len(vec)))
+    return tuple(-x for x in row) if lead < 0 else row
+
+
+def _point_from_image(line: ProjectiveLine, image) -> tuple[int, ...]:
+    """Canonical point where ``line`` meets the line whose kernel maps its
+    spanning rows p, q to the rank-one image (a, b): b_k p - a_k q for the
+    first k with (a_k, b_k) nonzero, since b_k a - a_k b is zero."""
+    a, b = image
+    k = next(k for k in range(len(a)) if a[k] or b[k])
+    p, q = line.rows
+    return canonical_point(tuple(b[k] * x - a[k] * y for x, y in zip(p, q)))
 
 
 def same_line(l1: ProjectiveLine, l2: ProjectiveLine) -> bool:
-    return rank_int_sparse(l1.rows + l2.rows) == 2
+    return kernel_image(l2.rows, l1.kernel)[0] == 0
 
 
 def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
     """Canonical intersection point of two distinct lines, or None.
 
     The lines meet exactly when the stacked 4 x (N+1) matrix of spanning
-    points has rank <= 3; the point is read off a kernel vector of the
-    matrix whose columns are the four spanning points.
+    points has rank 3, that is when l1's kernel maps l2's spanning points
+    to an image of rank one.
     """
     if l1.ambient_dim != l2.ambient_dim:
         raise InputError("lines live in different ambient spaces")
-    r = rank_int_sparse(l1.rows + l2.rows)
-    if r == 2:
+    r, image = kernel_image(l2.rows, l1.kernel)
+    if r == 0:
         raise InputError("identical lines have no single intersection point")
-    if r == 4:
+    if r == 2:
         return None
-    return _meeting_point(l1, l2)
-
-
-def _meeting_point(l1: ProjectiveLine, l2: ProjectiveLine) -> tuple[int, ...]:
-    """Canonical meeting point of two lines whose stacked spanning points
-    have rank 3."""
-    columns = RationalMatrix(
-        [[l1.p[i], l1.q[i], l2.p[i], l2.q[i]] for i in range(l1.ambient_dim + 1)]
-    )
-    kernel = nullspace(columns)
-    if len(kernel) != 1:
-        raise AssertionError("rank-3 stack must have a one-dimensional kernel")
-    a, b, _, _ = kernel[0]
-    point = tuple(a * x + b * y for x, y in zip(l1.p, l1.q))
-    return canonical_point(point)
+    return _point_from_image(l2, image)
 
 
 class LineArrangement:
     """Finitely many pairwise distinct lines in a common P^N (N >= 2).
 
-    The constructor takes each pair's stacked rank once, which both rejects
-    coinciding lines and finds the pairs that meet. The arrangement never
-    changes, so its meeting points and its dual graph are computed on first
-    use and kept on the instance.
+    The constructor runs each pair's kernel test once, which both rejects
+    coinciding lines and finds the pairs that meet, and keeps the rank-one
+    image of each meeting pair. The arrangement never changes, so its
+    meeting points and its dual graph are computed on first use and kept on
+    the instance.
     """
 
     def __init__(self, ambient_dim: int, lines):
@@ -128,16 +132,16 @@ class LineArrangement:
                 raise InputError("all lines must share the ambient dimension")
         if not self.lines:
             raise InputError("arrangement needs at least one line")
-        # one stacked rank per pair: 2 means the lines coincide, 3 that they
-        # meet in a point, 4 that they are skew
+        # one kernel test per pair: an image of rank 0 means the lines
+        # coincide, 1 that they meet in a point, 2 that they are skew
         self._meeting = []
         for i in range(len(self.lines)):
             for j in range(i + 1, len(self.lines)):
-                r = rank_int_sparse(self.lines[i].rows + self.lines[j].rows)
-                if r == 2:
+                r, image = kernel_image(self.lines[j].rows, self.lines[i].kernel)
+                if r == 0:
                     raise InputError(f"lines {i + 1} and {j + 1} coincide")
-                if r == 3:
-                    self._meeting.append((i, j))
+                if r == 1:
+                    self._meeting.append((i, j, image))
         self._intersections = None
         self._dual_graph = None
 
@@ -149,8 +153,8 @@ class LineArrangement:
         """All meeting index pairs with their canonical points."""
         if self._intersections is None:
             self._intersections = {
-                (i, j): _meeting_point(self.lines[i], self.lines[j])
-                for i, j in self._meeting
+                (i, j): _point_from_image(self.lines[j], image)
+                for i, j, image in self._meeting
             }
         return self._intersections
 

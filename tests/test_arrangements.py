@@ -26,7 +26,7 @@ from dualgraphs.complexes import (
 )
 from dualgraphs.errors import HypothesisError, InputError, NotUnmixedError, SectionError
 from dualgraphs.graphs import HirschVerdict, diameter, dual_adjacency, vertex_connectivity
-from dualgraphs.linalg import integer_row
+from dualgraphs.linalg import integer_vector
 from dualgraphs.reports import STATUS_NA, build_complex_report
 from oracles import gauss_rank
 
@@ -298,12 +298,69 @@ def test_each_form_is_converted_once(monkeypatch):
 
     def counting(vec):
         calls.append(vec)
-        return integer_row(vec)
+        return integer_vector(vec)
 
-    monkeypatch.setattr(arrangements_module, "integer_row", counting)
+    monkeypatch.setattr(arrangements_module, "integer_vector", counting)
     arr = from_complex(crosspolytope_boundary(3))
     n_forms = sum(len(c) for c in arr.components)
     assert len(calls) == n_forms == 8 * 3
     dual_graph(arr)
     analyze_arrangement(arr, regularity_certificate=3)
     assert len(calls) == n_forms
+
+
+@st.composite
+def small_arrangements(draw):
+    """(n, components): 2-6 components in 2-5 variables. Each is a distinct
+    k-subset of a pool of n + 3 forms with entries in [-2, 2], rescaled, so
+    that components often share forms; or, about one in five, an earlier
+    component's forms reordered plus the difference of two of them, which
+    has the same row space."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=n + 3, max_size=n + 3))
+    subsets = draw(st.lists(st.lists(st.integers(0, n + 2), min_size=k, max_size=k, unique=True),
+                            min_size=2, max_size=6, unique_by=frozenset))
+    comps = []
+    for subset in subsets:
+        if comps and draw(st.integers(0, 4)) == 0:
+            base = draw(st.sampled_from(comps))
+            comp = list(reversed(base))
+            if len(base) >= 2:
+                comp.append([a - b for a, b in zip(base[0], base[1])])
+        else:
+            comp = [[draw(st.integers(-2, 2).filter(bool)) * x for x in pool[f]] for f in subset]
+        comps.append(comp)
+    return n, comps
+
+
+@given(small_arrangements())
+def test_dual_edges_and_same_row_space_match_the_stacked_rank_oracle(arr_data):
+    # the definition the kernel test computes: components of equal height h
+    # share a row space when stacking them has rank h, and are adjacent when
+    # it has rank h + 1
+    n, comps = arr_data
+
+    def rank_of(rows):
+        return gauss_rank(rows) if rows else 0
+
+    heights = [rank_of(c) for c in comps]
+    same, edges = None, set()
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            if heights[i] == heights[j]:
+                stacked = rank_of(comps[i] + comps[j])
+                if stacked == heights[i]:
+                    same = same or (i, j)
+                elif stacked == heights[i] + 1:
+                    edges.add((i, j))
+    if same is not None:
+        i, j = same
+        with pytest.raises(InputError,
+                           match=f"components {i + 1} and {j + 1} have the same row space"):
+            SubspaceArrangement(n, comps)
+        return
+    arr = SubspaceArrangement(n, comps)
+    assert arr.heights == tuple(heights)
+    assert arr._adjacent_pairs == edges

@@ -10,7 +10,10 @@ from dualgraphs.linalg import (
     FieldSpec,
     RationalMatrix,
     bareiss_rank,
+    integer_kernel,
     integer_row,
+    integer_vector,
+    kernel_image,
     nullity,
     nullspace,
     parse_field,
@@ -147,6 +150,24 @@ def test_bareiss_scales_rows_with_a_zero_below_the_first_pivot(rows, expected):
     assert rank(RationalMatrix(rows)) == expected
 
 
+def test_integer_vector():
+    assert integer_vector((Fraction(1, 2), Fraction(-1, 3), 0)) == (3, -2, 0)
+    assert integer_vector((0, Fraction(6, 5), Fraction(-9, 10))) == (0, 4, -3)
+    assert integer_vector((0, 0)) == (0, 0)
+    assert integer_vector(()) == ()
+    with pytest.raises(TypeError):
+        integer_vector((1, 0.5))
+
+
+def test_integer_kernel_small_cases():
+    assert integer_kernel([[1, 2, 3], [2, 4, 6]], 3) == (1, [(-2, 1, 0), (-3, 0, 1)])
+    assert integer_kernel([], 2) == (0, [(1, 0), (0, 1)])
+    assert integer_kernel([[0, 0]], 2) == (0, [(1, 0), (0, 1)])
+    assert integer_kernel([[2, 0], [0, 3]], 2) == (2, [])
+    # the last pivot is -6; the vector is primitive, positive at the free column
+    assert integer_kernel([[2, 4, 1], [1, -1, 0]], 3) == (2, [(-1, -1, 6)])
+
+
 def test_rref_and_nullspace():
     m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
     reduced, pivots = rref(m)
@@ -244,3 +265,50 @@ def test_gf2_column_kernel_small_cases():
     assert rank_gf2_columns([0, 0]) == 0
     assert rank_gf2_columns([0b11, 0b110, 0b101]) == 2  # the triangle's edges
     assert rank_gf2_columns([1 << 200, (1 << 200) | 1, 1]) == 2
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """(rows, n): n = 1-6 columns; rows of small or up to 2^20 entries,
+    some zero, some repeated, some combinations of earlier rows."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2**20, 2**20), st.just(0))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 3)) if rows else 0
+        if kind == 0:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        elif kind == 1:
+            rows.append([0] * n)
+        elif kind == 2:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)), n
+
+
+@given(_kernel_matrices())
+def test_integer_kernel_matches_gauss_oracle(matrix):
+    rows, n = matrix
+    r, basis = integer_kernel(rows, n)
+    assert r == (gauss_rank(rows) if rows else 0)
+    assert len(basis) == n - r
+    for vec in basis:
+        assert len(vec) == n and all(isinstance(x, int) for x in vec)
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    if basis:
+        assert gauss_rank(basis) == len(basis)
+
+
+@given(_kernel_matrices(), st.data())
+def test_kernel_image_adds_the_stacked_rank(matrix, data):
+    rows, n = matrix
+    others = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=4))
+    h, basis = integer_kernel(rows, n)
+    extra, image = kernel_image(others, basis)
+    stacked = gauss_rank(rows + others) if rows + others else 0
+    assert extra == min(stacked - h, 2)
+    if extra < 2:
+        assert len(image) == len(others)

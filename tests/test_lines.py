@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import assume, given, strategies as st
 import dualgraphs.lines as lines_module
 from dualgraphs.errors import HypothesisError, InputError
 from dualgraphs.graphs import complete_graph, hypercube_graph, path_graph, forbidden_pattern
-from dualgraphs.linalg import integer_row
+import dualgraphs.linalg as linalg_module
+from dualgraphs.linalg import integer_vector
 from dualgraphs.lines import (
     LineArrangement,
     ProjectiveLine,
@@ -23,6 +25,7 @@ from dualgraphs.lines import (
     lines_to_json_dict,
     no_triple_points,
 )
+from oracles import gauss_rank
 
 P = ProjectiveLine.through
 
@@ -276,9 +279,9 @@ def test_each_spanning_point_is_converted_once(monkeypatch):
 
     def counting(vec):
         calls.append(vec)
-        return integer_row(vec)
+        return integer_vector(vec)
 
-    monkeypatch.setattr(lines_module, "integer_row", counting)
+    monkeypatch.setattr(lines_module, "integer_vector", counting)
     arr = grid_lines()
     assert len(calls) == 2 * arr.n_lines
     # each meeting point is made primitive once, by canonical_point
@@ -288,31 +291,61 @@ def test_each_spanning_point_is_converted_once(monkeypatch):
     assert len(calls) == 2 * arr.n_lines + len(pairs) == 12 + 9
 
 
+def _primitive_and_positive(pt):
+    return math.gcd(*pt) == 1 and next(x for x in pt if x) > 0
+
+
 @given(line_sets())
-def test_intersection_pairs_match_pairwise_intersects(line_data):
+def test_line_pairs_match_the_rank_oracle(line_data):
+    # the definition: two lines coincide when their four spanning points have
+    # rank 2 and meet when they have rank 3; the point lies on both lines
     n, pairs = line_data
-    try:
-        arr = LineArrangement(n, [P(n, p, q) for p, q in pairs])
-    except InputError:
-        assume(False)
+    lines = []
+    for p, q in pairs:
+        if gauss_rank([p, q]) == 2:
+            lines.append(P(n, p, q))
+    assume(len(lines) >= 2)
     expected = {}
-    for i in range(arr.n_lines):
-        for j in range(i + 1, arr.n_lines):
-            pt = intersects(arr.lines[i], arr.lines[j])
+    coincide = None
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            (p1, q1), (p2, q2) = (lines[i].p, lines[i].q), (lines[j].p, lines[j].q)
+            r = gauss_rank([p1, q1, p2, q2])
+            if r == 2:
+                coincide = coincide or (i, j)
+                with pytest.raises(InputError, match="identical lines"):
+                    intersects(lines[i], lines[j])
+                continue
+            pt = intersects(lines[i], lines[j])
+            assert (pt is not None) == (r == 3)
             if pt is not None:
+                assert gauss_rank([p1, q1, pt]) == gauss_rank([p2, q2, pt]) == 2
+                assert _primitive_and_positive(pt)
+                assert intersects(lines[j], lines[i]) == pt
                 expected[(i, j)] = pt
-    assert arr.intersection_pairs() == expected
+    if coincide is not None:
+        i, j = coincide
+        with pytest.raises(InputError, match=f"lines {i + 1} and {j + 1} coincide"):
+            LineArrangement(n, lines)
+    else:
+        assert LineArrangement(n, lines).intersection_pairs() == expected
 
 
-def test_each_line_pair_is_ranked_once(monkeypatch):
+def test_each_line_gets_one_kernel(monkeypatch):
     lines = grid_lines().lines
-    calls = []
-    rank = lines_module.rank_int_sparse
-    monkeypatch.setattr(lines_module, "rank_int_sparse",
-                        lambda rows: calls.append(len(rows)) or rank(rows))
-    arr = LineArrangement(3, lines)
+    kernels, forbidden = [], []
+    kernel = lines_module.integer_kernel
+    monkeypatch.setattr(lines_module, "integer_kernel",
+                        lambda rows, width: kernels.append(len(rows)) or kernel(rows, width))
+    # lines imports neither; patched in linalg, they would see calls from there
+    assert not hasattr(lines_module, "rank_int_sparse") and not hasattr(lines_module, "nullspace")
+    for name in ("rank_int_sparse", "nullspace"):
+        monkeypatch.setattr(linalg_module, name, lambda *a, name=name: forbidden.append(name))
+    arr = LineArrangement(3, [ProjectiveLine(3, ln.p, ln.q) for ln in lines])
+    assert kernels == [2] * 6
     arr.intersection_pairs()
     dual_graph(arr)
     canonical_hirsch_verdict(arr)
-    # one stacked rank per pair of the 6 lines, none for the meeting points
-    assert calls == [4] * 15
+    # the meeting points come from the images the pair tests kept
+    assert kernels == [2] * 6
+    assert forbidden == []
