@@ -208,6 +208,11 @@ def generic_hyperplane_section(
     from a seeded PRNG as integers in [1, 2^16]; the stated postconditions
     (component count, all heights, dual graph) are verified and a failed
     draw retries with the incremented seed.
+
+    The primitive integer rows of the forms are sliced, in integer
+    arithmetic; each sliced row is a nonzero multiple of the sliced form,
+    so the components keep their row spaces, and the section its heights
+    and dual edges.
     """
     c = arr.common_height()
     n = arr.n_vars
@@ -218,17 +223,15 @@ def generic_hyperplane_section(
             f"quotient dimension {n - c} < 3: the section need not preserve the dual graph"
         )
     want_edges = dual_edge_indices(arr)
+    rows = [[integer_vector(form) for form in forms] for forms in arr.components]
     last_error = "no attempts made"
     for attempt in range(max_attempts):
         rng = random.Random(seed + attempt)
         coeffs = [rng.randint(1, _SECTION_COEFF_MAX) for _ in range(n - 1)]
-        components = []
-        for forms in arr.components:
-            new_forms = []
-            for form in forms:
-                head, tail = form[: n - 1], form[n - 1]
-                new_forms.append(tuple(a + tail * k for a, k in zip(head, coeffs)))
-            components.append(tuple(new_forms))
+        components = [
+            [tuple(a + row[-1] * k for a, k in zip(row[:-1], coeffs)) for row in comp_rows]
+            for comp_rows in rows
+        ]
         try:
             sliced = SubspaceArrangement(n - 1, components)
         except InputError:

@@ -1,11 +1,18 @@
 """Finite simple graphs and the graph side of the dual-graph toolkit.
 
 Covers dual graphs of pure complexes, BFS diameters, Menger-style vertex and
-edge connectivity (one Edmonds-Karp routine on a residual network built
-once per graph; the cut witness is the source side of the first least
-flow, re-verified), diameter bounds, Hirsch verdicts, non-revisiting dual
+edge connectivity, diameter bounds, Hirsch verdicts, non-revisiting dual
 paths, the 6-vertex forbidden induced pattern for line-arrangement dual
 graphs, and the named graph families used throughout the suite.
+
+Both connectivities run one max-flow routine (Dinic blocking flows) on a
+residual network built once per graph, pair after pair, and report the
+first least pair with the source side of its flow as the cut, re-verified.
+Most pairs never run a full flow: a vertex-connectivity pair starts from
+its paths through common neighbours and is skipped when these already
+reach the least value so far, any flow stops once it reaches that value,
+and edge connectivity stops once it reaches the vertex connectivity. None
+of this changes the reported value or cut (see ``_least_flow``).
 
 Graphs are immutable after construction, so each invariant -- diameter,
 vertex and edge connectivity with their cuts, the forbidden-pattern
@@ -18,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+from bisect import bisect_left
 from collections import deque
 from math import comb, inf
 
@@ -175,18 +183,30 @@ def diameter(g: Graph) -> int | float:
     return best
 
 
-# -- max-flow (Edmonds-Karp on residual arrays) ------------------------------
+# -- max-flow (Dinic blocking flows on residual arrays) ------------------------
 
 
-def _least_flow(n_nodes: int, arcs, pairs):
-    """The first least max-flow value over ``pairs`` of (s, t), with the
-    source side of that flow's residual network.
+def _least_flow(n_nodes: int, arcs, pairs, floor: int = 0):
+    """The first least max-flow value over ``pairs``, with the source side
+    of that flow's residual network.
 
     ``arcs`` lists (u, v, cap u->v, cap v->u); arc 2k runs u->v and arc
-    2k+1 back. The network is built once and each pair augments shortest
-    paths on a copy of the capacities. The residual reach set of a maximum
-    flow is the unique minimal minimum cut (Picard-Queyranne), so the
-    witness does not depend on which paths were found.
+    2k+1 back. ``pairs`` yields (s, t, seed): ``seed`` lists s-t paths, as
+    arc indices, that together form a flow of value len(seed). The network
+    is built once; each pair starts from its seed on a copy of the
+    capacities and adds blocking flows (Dinic), one unit per path found.
+    Each phase layers the residual network by distance to t, found by one
+    search backwards from t, so every arc down the layering leads on to t;
+    on unit vertex capacities a pair needs O(sqrt(n)) phases (Even-Tarjan).
+
+    No pair can win once it stops being strictly less than the least value
+    so far, so a pair whose seed already reaches that value is skipped, and
+    a flow stops as soon as it reaches it; the loop ends once the least
+    value is at most ``floor``. The first pair, and any pair that becomes
+    the new least, still runs to a maximum flow. The residual reach set of
+    a maximum flow is the unique minimal minimum cut (Picard-Queyranne), so
+    the witness -- the reach set of a final search from s, which misses t
+    -- depends neither on the seed nor on which paths were found.
     """
     head: list[int] = []
     base: list[int] = []
@@ -197,28 +217,77 @@ def _least_flow(n_nodes: int, arcs, pairs):
         head += (v, u)
         base += (forward, backward)
     best = None
-    for s, t in pairs:
+    for s, t, seed in pairs:
+        limit = inf if best is None else best[0]
+        if limit <= floor:
+            break
+        value = len(seed)
+        if value >= limit:
+            continue
         cap = base.copy()
-        value = 0
-        while True:
-            via = {s: None}  # node -> the arc that first reached it
-            queue = deque([s])
-            while queue and t not in via:
-                for a in out[queue.popleft()]:
-                    v = head[a]
-                    if cap[a] and v not in via:
-                        via[v] = a
-                        queue.append(v)
-            if t not in via:
-                break
-            a = via[t]
-            while a is not None:
+        for path in seed:
+            for a in path:
                 cap[a] -= 1
                 cap[a ^ 1] += 1
-                a = via[head[a ^ 1]]
-            value += 1
-        if best is None or value < best[0]:
-            best = value, via.keys()
+        while value < limit:
+            # layering by residual distance to t, found backwards from t
+            dist = [-1] * n_nodes
+            dist[t] = 0
+            order = [t]
+            for v in order:
+                for a in out[v]:
+                    u = head[a]
+                    if cap[a ^ 1] and dist[u] < 0:
+                        dist[u] = dist[v] + 1
+                        order.append(u)
+                if dist[s] >= 0:
+                    break
+            else:
+                break
+            # blocking flow: depth-first down the layering, each node
+            # resuming at its current arc; a dead end leaves the layering
+            current = [0] * n_nodes
+            path: list[int] = []
+            u = s
+            while value < limit:
+                if u == t:
+                    for a in path:
+                        cap[a] -= 1
+                        cap[a ^ 1] += 1
+                    value += 1
+                    path.clear()
+                    u = s
+                    continue
+                arcs_u = out[u]
+                end = len(arcs_u)
+                i = current[u]
+                below = dist[u] - 1
+                while i < end:
+                    a = arcs_u[i]
+                    if cap[a] and dist[head[a]] == below:
+                        break
+                    i += 1
+                current[u] = i
+                if i < end:
+                    path.append(a)
+                    u = head[a]
+                elif u == s:
+                    break
+                else:
+                    dist[u] = -1
+                    u = head[path.pop() ^ 1]
+                    current[u] += 1
+        if value < limit:
+            # the final residual search from s, which misses t
+            reach = {s}
+            queue = [s]
+            for u in queue:
+                for a in out[u]:
+                    v = head[a]
+                    if cap[a] and v not in reach:
+                        reach.add(v)
+                        queue.append(v)
+            best = value, reach
     return best
 
 
@@ -232,6 +301,12 @@ def vertex_connectivity(g: Graph):
     pair is a flow on the split graph: w_in = 2w, w_out = 2w+1, a unit arc
     w_in -> w_out, and arcs of capacity n+1 along the edges. No augmenting
     path enters s_in or t_out, so the unit arcs of s and t never bind.
+
+    The pairs of the schedule are never adjacent, so each common neighbour
+    w of s and t gives the path s_out -> w_in -> w_out -> t_in; these
+    paths share no unit arc, so together they seed the pair's flow, and a
+    pair with at least as many common neighbours as the least value so far
+    needs no search (see ``_least_flow``).
     """
     if g.n < 2:
         raise EmptyGraphError("vertex connectivity needs at least 2 vertices")
@@ -243,12 +318,20 @@ def vertex_connectivity(g: Graph):
     pairs += [(a, b) for a, b in itertools.combinations(g.neighbors(v), 2)
               if not g.has_edge(a, b)]
     big = g.n + 1
+    adj = g._adj_lists
     arcs = [(2 * w, 2 * w + 1, 1, 0) for w in range(g.n)]
-    for a, b in g.edges:
-        i, j = idx[a], idx[b]
-        arcs += ((2 * i + 1, 2 * j, big, 0), (2 * j + 1, 2 * i, big, 0))
-    split_pairs = [(2 * idx[s] + 1, 2 * idx[t]) for s, t in pairs]
-    best, reach = _least_flow(2 * g.n, arcs, split_pairs)
+    arcs += [(2 * i + 1, 2 * j, big, 0) for i, ns in enumerate(adj) for j in ns]
+    first = list(itertools.accumulate(map(len, adj), initial=g.n))
+
+    def into(i, j):  # the arc i_out -> j_in; i's arcs follow its sorted neighbours
+        return 2 * (first[i] + bisect_left(adj[i], j))
+
+    def seeded(s, t):
+        i, j = idx[s], idx[t]
+        common = (idx[w] for w in g._adj[s] & g._adj[t])
+        return 2 * i + 1, 2 * j, [(into(i, k), 2 * k, into(k, j)) for k in common]
+
+    best, reach = _least_flow(2 * g.n, arcs, itertools.starmap(seeded, pairs))
     cut_labels = tuple(
         w for i, w in enumerate(g.vertices) if 2 * i in reach and 2 * i + 1 not in reach
     )
@@ -262,12 +345,19 @@ def vertex_connectivity(g: Graph):
 def edge_connectivity(g: Graph):
     """Global edge connectivity with a minimum edge cut witness: the least
     flow from the first vertex to each other one, one arc pair of capacity
-    (1, 1) per edge."""
+    (1, 1) per edge.
+
+    By Whitney, kappa <= lambda, so the pair loop stops once the least
+    value reaches the kept ``vertex_connectivity``: no later pair can be
+    strictly smaller, and the first least pair, hence the cut, is the same
+    as after the full loop.
+    """
     if g.n < 2:
         raise EmptyGraphError("edge connectivity needs at least 2 vertices")
     idx = g._index
     arcs = [(idx[a], idx[b], 1, 1) for a, b in g.edges]
-    best, reach = _least_flow(g.n, arcs, [(0, t) for t in range(1, g.n)])
+    kappa = vertex_connectivity(g)[0]
+    best, reach = _least_flow(g.n, arcs, ((0, t, ()) for t in range(1, g.n)), kappa)
     best_cut = tuple(e for e in g.edges if (idx[e[0]] in reach) != (idx[e[1]] in reach))
     remaining = g.without_edges(best_cut)
     if is_connected(remaining) and best > 0:

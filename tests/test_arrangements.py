@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import inf
 
@@ -124,6 +125,23 @@ def test_generic_section_preserves_everything():
     assert again.components == sliced.components
     different = generic_hyperplane_section(octa_arr, seed=1)
     assert different.heights == octa_arr.heights
+
+
+def test_generic_section_slices_each_form_up_to_a_positive_scale():
+    # rational forms with a zero, a negative and a fractional last entry
+    forms = [[(Fraction(1, 2), 0, 0, Fraction(-3, 4), 0), (0, 1, 0, 0, Fraction(2, 3))],
+             [(0, 0, Fraction(5, 7), 1, 0), (0, 1, 0, 0, Fraction(2, 3))],
+             [(1, 0, 0, 0, -1), (0, 0, 1, 0, 0)]]
+    arr = SubspaceArrangement(5, forms)
+    sliced = generic_hyperplane_section(arr, seed=3)
+    rng = random.Random(3)  # the first draw passes the postconditions here
+    coeffs = [rng.randint(1, 2**16) for _ in range(4)]
+    for comp, sliced_comp in zip(arr.components, sliced.components):
+        for form, row in zip(comp, sliced_comp):
+            by_fractions = [a + form[-1] * k for a, k in zip(form, coeffs)]
+            assert integer_vector(by_fractions) == integer_vector(row)
+    assert sliced.heights == arr.heights
+    assert dual_edge_indices(sliced) == dual_edge_indices(arr)
 
 
 def test_generic_section_rejects_small_dimension(nonhirsch):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import inf
 
 import pytest
@@ -10,6 +11,7 @@ from dualgraphs.complexes import (
     tadpole_complex,
 )
 from dualgraphs.errors import EmptyGraphError, InputError, ParseError, UnknownFamilyError
+from dualgraphs import graphs
 from dualgraphs.graphs import (
     Graph,
     HirschVerdict,
@@ -302,6 +304,29 @@ def small_graphs(draw):
     return Graph(labels, draw(st.lists(st.sampled_from(pairs), unique=True)))
 
 
+def complete_bipartite(p, q):
+    return Graph(list(range(p + q)), [(i, j) for i in range(p) for j in range(p, p + q)])
+
+
+def gnp_graph(n, p, seed):
+    """G(n, p) on the labels 0..n-1, edges drawn by a seeded PRNG."""
+    rng = random.Random(seed)
+    return Graph(list(range(n)), [e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < p])
+
+
+# Dense graphs, where most vertex-connectivity pairs are seeded by common
+# neighbours and many are skipped: in K_{3,4} and K_{4,4} every pair after
+# the first has as many common neighbours as the least value.
+DENSE_GRAPHS = [
+    pytest.param(complete_bipartite(3, 4), id="K3,4"),
+    pytest.param(complete_bipartite(4, 4), id="K4,4"),
+] + [
+    pytest.param(gnp_graph(n, p, seed), id=f"G({n},{p})-seed{seed}")
+    for n, p, seed in itertools.product((10, 12), (0.5, 0.7, 0.9), (1, 2))
+]
+
+
 @given(small_graphs())
 @example(path_graph(9))
 @example(complete_graph(9))
@@ -309,9 +334,43 @@ def small_graphs(draw):
 @example(Graph(["a", "b"], []))
 @example(Graph.from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")], isolated=["f"]))
 @example(hypercube_graph(3))
+# disconnected with the first vertex in the larger part: the edge flows stop
+# at the first pair of value 0 = kappa
+@example(Graph.from_edges([("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+                           ("c", "d"), ("e", "f"), ("f", "g"), ("e", "g")]))
 def test_connectivity_reports_the_source_closest_cut_of_the_first_least_pair(g):
     assert vertex_connectivity(g) == bf_vertex_cut_witness(g)
     assert edge_connectivity(g) == bf_edge_cut_witness(g)
+
+
+@pytest.mark.parametrize("g", DENSE_GRAPHS)
+def test_dense_graphs_report_the_source_closest_cut_of_the_first_least_pair(g, monkeypatch):
+    seeds = []
+    least_flow = graphs._least_flow
+
+    def spy(n_nodes, arcs, pairs, floor=0):
+        def seen():
+            for s, t, seed in pairs:
+                seeds.append(len(seed))
+                yield s, t, seed
+        return least_flow(n_nodes, arcs, seen(), floor)
+
+    monkeypatch.setattr(graphs, "_least_flow", spy)
+    assert vertex_connectivity(g) == bf_vertex_cut_witness(g)
+    assert any(seeds)  # some pair started from common-neighbour paths
+    assert edge_connectivity(g) == bf_edge_cut_witness(g)
+
+
+def test_connectivity_values_match_networkx_beyond_brute_force_size():
+    import networkx as nx
+
+    from oracles import to_networkx
+
+    for g in (complete_bipartite(24, 24), hypercube_graph(7),
+              gnp_graph(40, 0.5, 1), gnp_graph(40, 0.5, 2)):
+        h = to_networkx(g)
+        assert vertex_connectivity(g)[0] == nx.node_connectivity(h)
+        assert edge_connectivity(g)[0] == nx.edge_connectivity(h)
 
 
 def test_dual_graph_of_join_is_product():
