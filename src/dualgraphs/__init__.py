@@ -26,7 +26,6 @@ from .graphs import (
 from .homology import (
     BettiProfile,
     RegularityCertificate,
-    boundary_matrix,
     is_cohen_macaulay,
     is_gorenstein,
     is_homology_sphere,
@@ -34,7 +33,7 @@ from .homology import (
     reduced_betti_numbers,
     regularity,
 )
-from .linalg import QQ, FieldSpec, RationalMatrix, nullity, prime_field, rank
+from .linalg import QQ, FieldSpec, RationalMatrix, prime_field, rank
 
 __all__ = [
     "QQ",
@@ -45,7 +44,6 @@ __all__ = [
     "RationalMatrix",
     "RegularityCertificate",
     "SimplicialComplex",
-    "boundary_matrix",
     "contains_forbidden_line_graph",
     "crosspolytope_boundary",
     "diameter",
@@ -62,7 +60,6 @@ __all__ = [
     "is_normal",
     "menger_diameter_bounds",
     "non_revisiting_path",
-    "nullity",
     "prime_field",
     "rank",
     "reduced_betti_numbers",

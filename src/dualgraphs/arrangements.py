@@ -19,7 +19,7 @@ rank is its height h. Stacking the rows A_j of another component gives
 rank h + rank(A_j N_i), so a pair only asks whether the small image A_j N_i
 is zero (the same row space), of rank one (a dual edge) or of more
 (``linalg.kernel_image``). ``components`` keeps the listed Fractions for
-equality and JSON output.
+equality and JSON output, ``rows`` the integer rows.
 
 Everything is exact; the only randomness is the seeded generic hyperplane
 section, which verifies its own postconditions and retries with the next
@@ -90,7 +90,7 @@ class SubspaceArrangement:
         if not comps:
             raise InputError("arrangement needs at least one component")
         self.components = tuple(comps)
-        rows = [[integer_vector(form) for form in c] for c in comps]
+        self.rows = rows = tuple(tuple(integer_vector(form) for form in c) for c in comps)
         heights = []
         same = []
         self._adjacent_pairs = set()
@@ -209,7 +209,7 @@ def generic_hyperplane_section(
     (component count, all heights, dual graph) are verified and a failed
     draw retries with the incremented seed.
 
-    The primitive integer rows of the forms are sliced, in integer
+    The primitive integer rows ``arr.rows`` are sliced, in integer
     arithmetic; each sliced row is a nonzero multiple of the sliced form,
     so the components keep their row spaces, and the section its heights
     and dual edges.
@@ -223,14 +223,13 @@ def generic_hyperplane_section(
             f"quotient dimension {n - c} < 3: the section need not preserve the dual graph"
         )
     want_edges = dual_edge_indices(arr)
-    rows = [[integer_vector(form) for form in forms] for forms in arr.components]
     last_error = "no attempts made"
     for attempt in range(max_attempts):
         rng = random.Random(seed + attempt)
         coeffs = [rng.randint(1, _SECTION_COEFF_MAX) for _ in range(n - 1)]
         components = [
             [tuple(a + row[-1] * k for a, k in zip(row[:-1], coeffs)) for row in comp_rows]
-            for comp_rows in rows
+            for comp_rows in arr.rows
         ]
         try:
             sliced = SubspaceArrangement(n - 1, components)

@@ -57,7 +57,6 @@ from .errors import NonPureComplexError, ResourceCapError, VoidComplexError
 from .linalg import (
     QQ,
     FieldSpec,
-    RationalMatrix,
     rank_gf2_columns,
     rank_int_sparse,
     rank_mod_p_sparse,
@@ -99,41 +98,17 @@ class RegularityCertificate:
     witness_index: int
 
 
-def _boundary_sparse(cx: SimplicialComplex, card: int):
-    """Sparse rows of the boundary map from `card`-vertex faces down.
-
-    Returns (n_rows, n_cols, rows) with rows[r] a dict col -> sign.
-    """
+def _boundary_sparse(cx: SimplicialComplex, card: int) -> list[dict[int, int]]:
+    """Sparse rows of the boundary map from `card`-vertex faces down, one
+    per (card - 1)-vertex face: rows[r] maps a column to its sign."""
     groups = cx.faces_by_card
-    cols = groups[card]
-    rows_faces = groups[card - 1] if card >= 1 else ()
-    row_index = {f: r for r, f in enumerate(rows_faces)}
-    rows: list[dict[int, int]] = [{} for _ in rows_faces]
-    for c, face in enumerate(cols):
+    row_index = {f: r for r, f in enumerate(groups[card - 1])}
+    rows: list[dict[int, int]] = [{} for _ in row_index]
+    for c, face in enumerate(groups[card]):
         for t in range(card):
             sub = face[:t] + face[t + 1 :]
             rows[row_index[sub]][c] = -1 if t % 2 else 1
-    return len(rows_faces), len(cols), rows
-
-
-def boundary_matrix(cx: SimplicialComplex, i: int) -> RationalMatrix:
-    """Matrix of the i-th boundary map of the augmented chain complex.
-
-    Faces are ordered lexicographically (by vertex position) within each
-    dimension; omitting the vertex in position t contributes sign (-1)^t.
-    The map in dimension 0 sends every vertex to the empty face; the map in
-    dimension -1 is the zero map out of the empty-face line.
-    """
-    if cx.is_void:
-        raise VoidComplexError("the void complex has no boundary maps")
-    if not -1 <= i <= cx.dimension:
-        raise ValueError(f"dimension {i} out of range [-1, {cx.dimension}]")
-    n_rows, n_cols, rows = _boundary_sparse(cx, i + 1)
-    dense = [[0] * n_cols for _ in range(n_rows)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            dense[r][c] = v
-    return RationalMatrix(dense, cols=n_cols)
+    return rows
 
 
 def _ranks_profile(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
@@ -162,7 +137,7 @@ def _ranks_profile(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     else:
         groups = cx.faces_by_card
         for card in range(1, top + 1):
-            _, _, rows = _boundary_sparse(cx, card)
+            rows = _boundary_sparse(cx, card)
             if field.is_rationals:
                 ranks[card] = rank_int_sparse(rows)
             else:
@@ -366,7 +341,6 @@ def regularity(
     cx: SimplicialComplex,
     field: FieldSpec = QQ,
     max_vertices: int = DEFAULT_MAX_HOCHSTER_VERTICES,
-    cross_check_cm: bool = True,
 ) -> RegularityCertificate:
     """Regularity by the restriction sweep: the maximum over vertex subsets
     W of max{ i : b~_{i-1}(cx|_W) != 0 }.
@@ -379,9 +353,8 @@ def regularity(
     profiles. The witness is the first subset in Gray-code order attaining
     the maximum, and it re-verifies on a freshly built restriction, apart
     from the kept profiles. On Cohen-Macaulay input the result is
-    cross-checked against the h-polynomial degree; pass
-    ``cross_check_cm=False`` to skip that check (its Reisner sweep is kept
-    on ``cx`` and shared with ``is_cohen_macaulay``).
+    cross-checked against the h-polynomial degree (the Reisner sweep this
+    takes is kept on ``cx`` and shared with ``is_cohen_macaulay``).
     """
     if cx.is_void:
         raise VoidComplexError("the void complex has no regularity")
@@ -411,7 +384,7 @@ def regularity(
     witness = cx.restrict_mask(best_mask)
     if reduced_betti_numbers(witness, field).betti(best - 1) <= 0:
         raise AssertionError("regularity witness failed re-verification")
-    if cross_check_cm and cx.is_pure and is_cohen_macaulay(cx, field):
+    if cx.is_pure and is_cohen_macaulay(cx, field):
         h = cx.h_vector
         h_degree = max((j for j, v in enumerate(h) if v), default=0)
         if best != h_degree:

@@ -5,10 +5,11 @@ in this package, so everything here is exact: arbitrary-precision integers
 and fractions, no floats. Over Q each row becomes its primitive integer
 multiple through ``integer_vector`` (dense) or ``integer_row`` (sparse), and
 ``rank_int_sparse`` runs a unit-pivot pass, which removes the bulk of the
-rank without coefficient growth, then fraction-free (Bareiss) elimination on
-the small dense remainder. GF(p) reduces entries mod p, never via
-``integer_row``: dividing by the gcd can change the rank mod p, (p, 2p)
-becoming (1, 2). GF(2) reduces columns packed into ints by XOR.
+rank without coefficient growth, then ranks the small dense remainder with
+``integer_kernel``, the one fraction-free elimination. GF(p) reduces
+entries mod p, never via ``integer_row``: dividing by the gcd can change the
+rank mod p, (p, 2p) becoming (1, 2). GF(2) reduces columns packed into ints
+by XOR.
 
 The geometry modules ask rank questions about pairs: is the rank of A
 stacked on B equal to rank A, rank A + 1, or more? That rank is
@@ -149,12 +150,6 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
 
 def integer_vector(vec) -> tuple[int, ...]:
     """The primitive integer multiple of a rational vector, as a dense tuple.
@@ -177,44 +172,9 @@ def integer_row(vec) -> dict[int, int]:
     return {j: v for j, v in enumerate(integer_vector(vec)) if v}
 
 
-def bareiss_rank(rows, check: bool = False) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
-
-    Pivots are the first nonzero entry per column, rows scanned in order.
-    With ``check=True`` every implied division is verified to be exact
-    (Bareiss intermediates are determinants, hence integers).
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        pivot_row = None
-        for i in range(rank, nr):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        p = m[rank][c]
-        top = m[rank]
-        for i in range(rank + 1, nr):
-            row = m[i]
-            mic = row[c]
-            for j in range(c + 1, nc):
-                num = row[j] * p - mic * top[j]
-                if check and num % prev:
-                    raise AssertionError("non-integer Bareiss intermediate")
-                row[j] = num // prev
-            row[c] = 0
-        prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+def bareiss_rank(rows) -> int:
+    """Rank of dense integer rows: the rank that ``integer_kernel`` returns."""
+    return integer_kernel(rows, len(rows[0]) if rows else 0)[0]
 
 
 def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
@@ -223,8 +183,9 @@ def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
     Unit (+-1) pivots are eliminated first -- shortest live row first (lazy
     heap), breaking ties toward the sparsest column -- which keeps the
     arithmetic integral with no coefficient growth. Whatever ends up
-    unit-free goes to dense Bareiss elimination; any prefix of exact row
-    eliminations preserves the rank, so the split is a pure optimization.
+    unit-free is ranked densely by ``integer_kernel`` (through
+    ``bareiss_rank``); any prefix of exact row eliminations preserves the
+    rank, so the split is a pure optimization.
     """
     rows: dict[int, dict[int, int]] = {
         i: dict(r) for i, r in enumerate(sparse_rows) if r
@@ -455,11 +416,6 @@ def rank(matrix: RationalMatrix, field: FieldSpec = QQ) -> int:
     if field.is_rationals:
         return rank_int_sparse([integer_row(row) for row in matrix.entries])
     return rank_mod_p_sparse(_mod_p_rows(matrix, field.p), field.p)
-
-
-def nullity(matrix: RationalMatrix, field: FieldSpec = QQ) -> int:
-    """Dimension of the kernel: cols - rank."""
-    return matrix.cols - rank(matrix, field)
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:

@@ -14,7 +14,6 @@ from math import comb, inf
 
 from dualgraphs.complexes import SimplicialComplex
 from dualgraphs.graphs import Graph, diameter, non_revisiting_path
-from dualgraphs.homology import boundary_matrix
 
 
 def cx(facets) -> SimplicialComplex:
@@ -345,14 +344,42 @@ def bf_minimal_nonfaces(cxv: SimplicialComplex):
     return sorted(cxv.labels_of(m) for m in minimal)
 
 
+def bf_faces(cxv: SimplicialComplex) -> list[list[tuple]]:
+    """Faces by vertex count, the empty face first, from the facet label
+    tuples alone: every face is a tuple in the order in which its labels
+    first appear among the facets, and each group is sorted in that order."""
+    facets = cxv.facet_labels()
+    order = {v: i for i, v in enumerate(dict.fromkeys(v for f in facets for v in f))}
+    top = max(len(f) for f in facets)
+    return [
+        sorted({sub for f in facets
+                for sub in itertools.combinations(sorted(f, key=order.get), k)},
+               key=lambda face: [order[v] for v in face])
+        for k in range(top + 1)
+    ]
+
+
+def bf_boundary(faces, k: int) -> list[list[int]]:
+    """Dense signed boundary matrix from ``faces[k]`` down to ``faces[k - 1]``
+    (no rows for k = 0): deleting the label in position t has sign (-1)^t."""
+    if k == 0:
+        return []
+    row_of = {face: r for r, face in enumerate(faces[k - 1])}
+    d = [[0] * len(faces[k]) for _ in row_of]
+    for c, face in enumerate(faces[k]):
+        for t in range(k):
+            d[row_of[face[:t] + face[t + 1:]]][c] = (-1) ** t
+    return d
+
+
 def bf_reduced_betti(cxv: SimplicialComplex, field) -> list:
     """b~_-1 .. b~_d from the ranks of the dense boundary matrices."""
     def field_rank(rows):
         return gauss_rank(rows) if field.is_rationals else rank_mod_p(rows, field.p)
 
-    maps = [boundary_matrix(cxv, i) for i in range(-1, cxv.dimension + 1)]
-    ranks = [field_rank(d.entries) for d in maps] + [0]
-    return [d.cols - ranks[j] - ranks[j + 1] for j, d in enumerate(maps)]
+    faces = bf_faces(cxv)
+    ranks = [field_rank(bf_boundary(faces, k)) for k in range(len(faces))] + [0]
+    return [len(group) - ranks[k] - ranks[k + 1] for k, group in enumerate(faces)]
 
 
 def bf_reisner(cxv: SimplicialComplex, field) -> tuple[bool, bool]:

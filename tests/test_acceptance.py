@@ -176,7 +176,7 @@ def test_criterion_5_sphere_connectivity_sweep():
     complexes.extend(crosspolytope_boundary(r) for r in range(2, 7))
     for c in complexes:
         assert c.n_facets <= 64
-        cert = regularity(c, cross_check_cm=False)
+        cert = regularity(c)
         h = c.h_vector
         h_degree = max(j for j, v in enumerate(h) if v)
         g = dual_graph(c)
