@@ -1,72 +1,53 @@
 """Dual graphs and homological invariants of squarefree monomial ideals,
-rational subspace arrangements, and projective line arrangements."""
+rational subspace arrangements, and projective line arrangements.
 
-from .complexes import (
-    SimplicialComplex,
-    crosspolytope_boundary,
-    full_simplex,
-    generate_complex,
-    simplex_boundary,
-    tadpole_complex,
-)
-from .graphs import (
-    Graph,
-    HirschVerdict,
-    contains_forbidden_line_graph,
-    diameter,
-    dual_graph,
-    edge_connectivity,
-    generate_graph,
-    hirsch_verdict,
-    is_k_connected,
-    menger_diameter_bounds,
-    non_revisiting_path,
-    vertex_connectivity,
-)
-from .homology import (
-    BettiProfile,
-    RegularityCertificate,
-    is_cohen_macaulay,
-    is_gorenstein,
-    is_homology_sphere,
-    is_normal,
-    reduced_betti_numbers,
-    regularity,
-)
-from .linalg import QQ, FieldSpec, RationalMatrix, prime_field, rank
+The names below load their module on first use (PEP 562): importing the
+package loads none of its modules.
+"""
 
-__all__ = [
-    "QQ",
-    "BettiProfile",
-    "FieldSpec",
-    "Graph",
-    "HirschVerdict",
-    "RationalMatrix",
-    "RegularityCertificate",
-    "SimplicialComplex",
-    "contains_forbidden_line_graph",
-    "crosspolytope_boundary",
-    "diameter",
-    "dual_graph",
-    "edge_connectivity",
-    "full_simplex",
-    "generate_complex",
-    "generate_graph",
-    "hirsch_verdict",
-    "is_cohen_macaulay",
-    "is_gorenstein",
-    "is_homology_sphere",
-    "is_k_connected",
-    "is_normal",
-    "menger_diameter_bounds",
-    "non_revisiting_path",
-    "prime_field",
-    "rank",
-    "reduced_betti_numbers",
-    "regularity",
-    "simplex_boundary",
-    "tadpole_complex",
-    "vertex_connectivity",
-]
+#: Each exported name and the module that defines it.
+_OWNERS = {
+    "QQ": "linalg",
+    "BettiProfile": "homology",
+    "FieldSpec": "linalg",
+    "Graph": "graphs",
+    "HirschVerdict": "graphs",
+    "RationalMatrix": "linalg",
+    "RegularityCertificate": "homology",
+    "SimplicialComplex": "complexes",
+    "contains_forbidden_line_graph": "graphs",
+    "crosspolytope_boundary": "complexes",
+    "diameter": "graphs",
+    "dual_graph": "graphs",
+    "edge_connectivity": "graphs",
+    "full_simplex": "complexes",
+    "generate_complex": "complexes",
+    "generate_graph": "graphs",
+    "hirsch_verdict": "graphs",
+    "is_cohen_macaulay": "homology",
+    "is_gorenstein": "homology",
+    "is_homology_sphere": "homology",
+    "is_k_connected": "graphs",
+    "is_normal": "homology",
+    "menger_diameter_bounds": "graphs",
+    "non_revisiting_path": "graphs",
+    "prime_field": "linalg",
+    "rank": "linalg",
+    "reduced_betti_numbers": "homology",
+    "regularity": "homology",
+    "simplex_boundary": "complexes",
+    "tadpole_complex": "complexes",
+    "vertex_connectivity": "graphs",
+}
+
+__all__ = list(_OWNERS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_OWNERS[name]}"), name)

@@ -13,13 +13,14 @@ components is not checked.
 
 That stacked rank is how adjacency is defined, not how it is computed. Each
 form is converted once, by the constructor, to its primitive integer row
-(``linalg.integer_vector``), and each component gets one integer kernel
-basis N_i by fraction-free Gauss-Jordan (``linalg.integer_kernel``), whose
-rank is its height h. Stacking the rows A_j of another component gives
-rank h + rank(A_j N_i), so a pair only asks whether the small image A_j N_i
-is zero (the same row space), of rank one (a dual edge) or of more
-(``linalg.kernel_image``). ``components`` keeps the listed Fractions for
-equality and JSON output, ``rows`` the integer rows.
+(``linalg.integer_vector``), unless the caller already has integer rows,
+and each component gets one integer kernel basis N_i by fraction-free
+Gauss-Jordan (``linalg.integer_kernel``), whose rank is its height h.
+Stacking the rows A_j of another component gives rank h + rank(A_j N_i), so
+a pair only asks whether the small image A_j N_i is zero (the same row
+space), of rank one (a dual edge) or of more (``linalg.kernel_image``).
+``components`` keeps the listed forms for equality and JSON output, ``rows``
+the integer rows.
 
 Everything is exact; the only randomness is the seeded generic hyperplane
 section, which verifies its own postconditions and retries with the next
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .complexes import SimplicialComplex
 from .errors import HypothesisError, InputError, NotUnmixedError, SectionError
 from .graphs import (
     Graph,
@@ -64,6 +64,10 @@ class SubspaceArrangement:
     their row spaces. Two components with the same row space are rejected;
     one containing another is not.
 
+    ``rows``, when given, holds each listed form, of length ``n_vars``,
+    times a nonzero integer; the forms are then neither parsed nor
+    converted. A hyperplane section passes its integer rows as both.
+
     The constructor finds, for every pair of components of equal height,
     whether their stacked rank exceeds that height by exactly one, and
     keeps those pairs: the dual edges. It does so by one integer kernel per
@@ -72,25 +76,28 @@ class SubspaceArrangement:
     instance.
     """
 
-    def __init__(self, n_vars: int, components):
+    def __init__(self, n_vars: int, components, *, rows=None):
         if n_vars < 1:
             raise InputError("need at least one variable")
         self.n_vars = n_vars
-        comps = []
-        for forms in components:
-            rows = []
-            for form in forms:
-                row = parse_rational_vector(form, "coefficient")
-                if len(row) != n_vars:
-                    raise InputError(
-                        f"form has {len(row)} coefficients, expected {n_vars}"
-                    )
-                rows.append(row)
-            comps.append(tuple(rows))
-        if not comps:
+        if rows is None:
+            comps = []
+            for forms in components:
+                parsed = []
+                for form in forms:
+                    row = parse_rational_vector(form, "coefficient")
+                    if len(row) != n_vars:
+                        raise InputError(
+                            f"form has {len(row)} coefficients, expected {n_vars}"
+                        )
+                    parsed.append(row)
+                comps.append(tuple(parsed))
+            components = comps
+            rows = tuple(tuple(integer_vector(form) for form in c) for c in comps)
+        if not components:
             raise InputError("arrangement needs at least one component")
-        self.components = tuple(comps)
-        self.rows = rows = tuple(tuple(integer_vector(form) for form in c) for c in comps)
+        self.components = tuple(components)
+        self.rows = rows
         heights = []
         same = []
         self._adjacent_pairs = set()
@@ -209,10 +216,10 @@ def generic_hyperplane_section(
     (component count, all heights, dual graph) are verified and a failed
     draw retries with the incremented seed.
 
-    The primitive integer rows ``arr.rows`` are sliced, in integer
-    arithmetic; each sliced row is a nonzero multiple of the sliced form,
-    so the components keep their row spaces, and the section its heights
-    and dual edges.
+    The integer rows ``arr.rows`` are sliced, in integer arithmetic, and
+    passed to the constructor as both forms and rows: each sliced row is a
+    nonzero multiple of the sliced form, so the components keep their row
+    spaces, and the section its heights and dual edges.
     """
     c = arr.common_height()
     n = arr.n_vars
@@ -227,12 +234,12 @@ def generic_hyperplane_section(
     for attempt in range(max_attempts):
         rng = random.Random(seed + attempt)
         coeffs = [rng.randint(1, _SECTION_COEFF_MAX) for _ in range(n - 1)]
-        components = [
-            [tuple(a + row[-1] * k for a, k in zip(row[:-1], coeffs)) for row in comp_rows]
+        rows = tuple(
+            tuple(tuple(a + row[-1] * k for a, k in zip(row[:-1], coeffs)) for row in comp_rows)
             for comp_rows in arr.rows
-        ]
+        )
         try:
-            sliced = SubspaceArrangement(n - 1, components)
+            sliced = SubspaceArrangement(n - 1, rows, rows=rows)
         except InputError:
             last_error = "components collapsed to a common row space"
             continue
@@ -260,8 +267,7 @@ def derksen_sidman_bound(arr: SubspaceArrangement, subset) -> int:
     return len(indices) - 1
 
 
-@dataclass(frozen=True)
-class ConnectivityCheck:
+class ConnectivityCheck(NamedTuple):
     """Outcome of an r-connectivity check on the dual graph."""
 
     required: int
@@ -298,8 +304,7 @@ def check_regularity_connectivity(arr: SubspaceArrangement, r: int) -> Connectiv
     return ConnectivityCheck(r, False, None, "single component")
 
 
-@dataclass
-class ArrangementReport:
+class ArrangementReport(NamedTuple):
     """Everything the analyzer derives from one arrangement."""
 
     n_vars: int

@@ -4,6 +4,11 @@ Subcommands: analyze-complex, analyze-arrangement, analyze-lines,
 check-graph, generate. Exit codes: 0 success, 1 input error, 2 a --strict
 run hit failed or inapplicable checks (violated hypotheses), 3 resource cap
 exceeded.
+
+Every command is a process of its own, so loading the package is part of
+every run. Hence the rule: a module imports at top level only what every one
+of its callers needs. Here that is ``errors``, which also holds the parser's
+defaults and family names; each ``_run_*`` imports its command's modules.
 """
 
 from __future__ import annotations
@@ -12,14 +17,8 @@ import argparse
 import json
 import sys
 
-from . import arrangements as arr_mod
-from . import complexes as cx_mod
-from . import graphs as graph_mod
-from . import lines as lines_mod
-from . import reports
+from .errors import COMPLEX_FAMILIES, DEFAULT_MAX_HOCHSTER_VERTICES, GRAPH_FAMILIES
 from .errors import DualGraphsError, InputError, ResourceCapError
-from .homology import DEFAULT_MAX_HOCHSTER_VERTICES
-from .linalg import QQ, parse_field
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -75,25 +74,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a named family to a file")
     p.add_argument("family",
                    help="complex families: %s; graph families: %s"
-                        % (", ".join(cx_mod.COMPLEX_FAMILIES),
-                           ", ".join(graph_mod.GRAPH_FAMILIES)))
+                        % (", ".join(COMPLEX_FAMILIES), ", ".join(GRAPH_FAMILIES)))
     p.add_argument("parameter", type=int, nargs="?", default=None)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
+def _finish(report: dict, args) -> int:
+    """Print ``report`` in the chosen format; return the exit code."""
+    from .reports import STATUS_FAIL, STATUS_NA, render_text
+
+    if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
-        print(reports.render_text(report), end="")
-
-
-def _strict_exit(report: dict, strict: bool) -> int:
-    if not strict:
+        print(render_text(report), end="")
+    if not args.strict:
         return EXIT_OK
-    bad = [c for c in report.get("checks", ())
-           if c["status"] in (reports.STATUS_FAIL, reports.STATUS_NA)]
+    bad = [c for c in report.get("checks", ()) if c["status"] in (STATUS_FAIL, STATUS_NA)]
     if bad or report.get("warnings"):
         return EXIT_STRICT
     return EXIT_OK
@@ -106,19 +103,23 @@ def _count(value: int, flag: str) -> int:
 
 
 def _run_analyze_complex(args) -> int:
+    from .complexes import read_facet_file
+    from .linalg import parse_field
+    from .reports import build_complex_report
+
     fields = tuple(parse_field(f) for f in (args.field or ["q"]))
     max_n = _count(args.max_hochster_n, "--max-hochster-n")
-    cx = cx_mod.read_facet_file(args.path, allow_void=args.allow_void)
-    report = reports.build_complex_report(
-        cx, fields=fields, max_hochster_n=max_n, descriptor=args.path
-    )
-    _emit(report, args.format)
-    return _strict_exit(report, args.strict)
+    cx = read_facet_file(args.path, allow_void=args.allow_void)
+    report = build_complex_report(cx, fields=fields, max_hochster_n=max_n, descriptor=args.path)
+    return _finish(report, args)
 
 
 def _run_analyze_arrangement(args) -> int:
+    from .arrangements import generic_hyperplane_section, read_arrangement_file
+    from .reports import build_arrangement_report
+
     sections = _count(args.section, "--section")
-    arr = arr_mod.read_arrangement_file(args.path)
+    arr = read_arrangement_file(args.path)
     subset = None
     if args.ds_subset:
         try:
@@ -131,43 +132,45 @@ def _run_analyze_arrangement(args) -> int:
                 raise InputError(f"component index {i} out of range 1..{s}")
         subset = [i - 1 for i in typed]
     for k in range(sections):
-        arr = arr_mod.generic_hyperplane_section(arr, seed=args.seed + k)
-    report = reports.build_arrangement_report(
+        arr = generic_hyperplane_section(arr, seed=args.seed + k)
+    report = build_arrangement_report(
         arr,
         descriptor=args.path,
         regularity_certificate=args.regularity_certificate,
         ds_subset=subset,
         sections_applied=sections,
     )
-    _emit(report, args.format)
-    return _strict_exit(report, args.strict)
+    return _finish(report, args)
 
 
 def _run_analyze_lines(args) -> int:
-    arr = lines_mod.read_lines_file(args.path)
-    report = reports.build_lines_report(arr, descriptor=args.path)
-    _emit(report, args.format)
-    return _strict_exit(report, args.strict)
+    from .lines import read_lines_file
+    from .reports import build_lines_report
+
+    return _finish(build_lines_report(read_lines_file(args.path), descriptor=args.path), args)
 
 
 def _run_check_graph(args) -> int:
-    g = graph_mod.read_graph_file(args.path)
-    report = reports.build_graph_report(g, descriptor=args.path)
-    _emit(report, args.format)
-    return _strict_exit(report, args.strict)
+    from .graphs import read_graph_file
+    from .reports import build_graph_report
+
+    return _finish(build_graph_report(read_graph_file(args.path), descriptor=args.path), args)
 
 
 def _run_generate(args) -> int:
     family = args.family
-    if family in cx_mod.COMPLEX_FAMILIES:
-        text = cx_mod.format_facet_text(cx_mod.generate_complex(family, args.parameter))
-    elif family in graph_mod.GRAPH_FAMILIES:
-        text = graph_mod.format_graph_text(graph_mod.generate_graph(family, args.parameter))
+    if family in COMPLEX_FAMILIES:
+        from .complexes import format_facet_text, generate_complex
+
+        text = format_facet_text(generate_complex(family, args.parameter))
+    elif family in GRAPH_FAMILIES:
+        from .graphs import format_graph_text, generate_graph
+
+        text = format_graph_text(generate_graph(family, args.parameter))
     else:
         raise InputError(
-            f"unknown family {family!r}; complexes: "
-            f"{', '.join(cx_mod.COMPLEX_FAMILIES)}; graphs: "
-            f"{', '.join(graph_mod.GRAPH_FAMILIES)}"
+            f"unknown family {family!r}; complexes: {', '.join(COMPLEX_FAMILIES)};"
+            f" graphs: {', '.join(GRAPH_FAMILIES)}"
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

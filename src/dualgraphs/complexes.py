@@ -23,6 +23,7 @@ from functools import cached_property
 from math import comb
 
 from .errors import (
+    COMPLEX_FAMILIES,
     InputError,
     NonPureComplexError,
     NotAFaceError,
@@ -463,24 +464,19 @@ def tadpole_complex() -> SimplicialComplex:
     )
 
 
-COMPLEX_FAMILIES = ("crosspolytope", "simplex", "tadpole")
-
-
 def generate_complex(family: str, parameter: int | None = None) -> SimplicialComplex:
     """Named complex families for the CLI and the test corpus."""
-    if family == "crosspolytope":
-        if parameter is None:
-            raise InputError("crosspolytope needs a parameter r >= 1")
-        return crosspolytope_boundary(parameter)
-    if family == "simplex":
-        if parameter is None:
-            raise InputError("simplex needs a parameter d >= 1")
-        return simplex_boundary(parameter)
     if family == "tadpole":
         return tadpole_complex()
-    raise UnknownFamilyError(
-        f"unknown complex family {family!r} (choose from {', '.join(COMPLEX_FAMILIES)})"
-    )
+    build = {"crosspolytope": (crosspolytope_boundary, "r"), "simplex": (simplex_boundary, "d")}
+    if family not in build:
+        raise UnknownFamilyError(
+            f"unknown complex family {family!r} (choose from {', '.join(COMPLEX_FAMILIES)})"
+        )
+    make, letter = build[family]
+    if parameter is None:
+        raise InputError(f"{family} needs a parameter {letter} >= 1")
+    return make(parameter)
 
 
 # -- facet file format ----------------------------------------------------------

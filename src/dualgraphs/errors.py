@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and constants two of them report.
 
 The CLI maps these onto exit codes, so user-facing failure modes get a
-dedicated class here instead of bare ValueErrors.
+dedicated class here instead of bare ValueErrors. Every command loads this
+module, so its parser reads the constants without loading their users.
 """
+
+#: Default vertex cap for the regularity sweep (2^n restrictions).
+DEFAULT_MAX_HOCHSTER_VERTICES = 20
+
+#: What ``complexes.generate_complex`` and ``graphs.generate_graph`` build.
+COMPLEX_FAMILIES = ("crosspolytope", "simplex", "tadpole")
+GRAPH_FAMILIES = ("hypercube", "path", "complete", "forbidden6")
 
 
 class DualGraphsError(Exception):

@@ -1,9 +1,10 @@
 """Finite simple graphs and the graph side of the dual-graph toolkit.
 
 Covers dual graphs of pure complexes, BFS diameters, Menger-style vertex and
-edge connectivity, diameter bounds, Hirsch verdicts, non-revisiting dual
-paths, the 6-vertex forbidden induced pattern for line-arrangement dual
-graphs, and the named graph families used throughout the suite.
+edge connectivity, diameter bounds, Hirsch verdicts, the diameter check on
+graphs that model canonical curves, non-revisiting dual paths, the 6-vertex
+forbidden induced pattern for line-arrangement dual graphs, and the named
+graph families used throughout the suite.
 
 Both connectivities run one max-flow routine (Dinic blocking flows) on a
 residual network built once per graph, pair after pair, and report the
@@ -28,10 +29,12 @@ import itertools
 from bisect import bisect_left
 from collections import deque
 from math import comb, inf
+from typing import NamedTuple
 
-from .complexes import SimplicialComplex
 from .errors import (
+    GRAPH_FAMILIES,
     EmptyGraphError,
+    HypothesisError,
     InputError,
     NonPureComplexError,
     ParseError,
@@ -408,6 +411,40 @@ def hirsch_verdict(diam, height: int) -> HirschVerdict:
     return HirschVerdict.HIRSCH if diam <= height else HirschVerdict.NOT_HIRSCH
 
 
+class CanonicalGraphCheck(NamedTuple):
+    """Graph-side diameter check for canonically embedded line arrangements."""
+
+    vertex_count: int
+    edge_count: int
+    height: int
+    diameter: float | int
+    passed: bool
+    branch: str
+    trivalent_three_connected: bool | None
+
+
+def check_canonical_graph(g: Graph) -> CanonicalGraphCheck:
+    """For a 3-edge-connected graph on s >= 4 vertices with t edges, verify
+    diam <= t - s - 1 (the height of the canonical curve it would model).
+
+    Which argument applies is reported: the edge-connectivity bound when
+    2t > 3s, the trivalent vertex-connectivity bound when 2t = 3s.
+    """
+    if g.n < 4:
+        raise HypothesisError("need at least 4 vertices")
+    lam, _ = edge_connectivity(g)
+    if lam < 3:
+        raise HypothesisError(f"graph is only {lam}-edge-connected, need 3")
+    s, t = g.n, g.m
+    height = t - s - 1
+    diam = diameter(g)
+    trivalent = 2 * t == 3 * s
+    branch = "trivalent" if trivalent else "edge_bound"
+    trivalent_three = is_k_connected(g, 3) if trivalent else None
+    passed = diam != inf and diam <= height
+    return CanonicalGraphCheck(s, t, height, diam, passed, branch, trivalent_three)
+
+
 # -- dual graphs -------------------------------------------------------------
 
 
@@ -669,27 +706,17 @@ def complete_graph(n: int) -> Graph:
     return Graph(labels, list(itertools.combinations(labels, 2)))
 
 
-GRAPH_FAMILIES = ("hypercube", "path", "complete", "forbidden6")
-
-
 def generate_graph(family: str, parameter: int | None = None) -> Graph:
-    if family == "hypercube":
-        if parameter is None:
-            raise InputError("hypercube needs a parameter n >= 1")
-        return hypercube_graph(parameter)
-    if family == "path":
-        if parameter is None:
-            raise InputError("path needs a parameter n >= 1")
-        return path_graph(parameter)
-    if family == "complete":
-        if parameter is None:
-            raise InputError("complete needs a parameter n >= 1")
-        return complete_graph(parameter)
     if family == "forbidden6":
         return forbidden_pattern()
-    raise UnknownFamilyError(
-        f"unknown graph family {family!r} (choose from {', '.join(GRAPH_FAMILIES)})"
-    )
+    build = {"hypercube": hypercube_graph, "path": path_graph, "complete": complete_graph}
+    if family not in build:
+        raise UnknownFamilyError(
+            f"unknown graph family {family!r} (choose from {', '.join(GRAPH_FAMILIES)})"
+        )
+    if parameter is None:
+        raise InputError(f"{family} needs a parameter n >= 1")
+    return build[family](parameter)
 
 
 # -- graph file format ------------------------------------------------------------

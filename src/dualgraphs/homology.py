@@ -50,10 +50,11 @@ restriction sweeps) is a field question answered by ranks of boundary maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex
-from .errors import NonPureComplexError, ResourceCapError, VoidComplexError
+from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, NonPureComplexError, ResourceCapError
+from .errors import VoidComplexError
 from .linalg import (
     QQ,
     FieldSpec,
@@ -65,12 +66,8 @@ from .linalg import (
 #: GF(2): every Betti profile over Q is first computed over it.
 GF2 = FieldSpec(2)
 
-#: Default vertex cap for the regularity sweep (2^n restrictions).
-DEFAULT_MAX_HOCHSTER_VERTICES = 20
 
-
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(NamedTuple):
     """Reduced Betti numbers b_-1 .. b_d of a complex over a field."""
 
     complex: SimplicialComplex
@@ -85,8 +82,7 @@ class BettiProfile:
         return 0
 
 
-@dataclass(frozen=True)
-class RegularityCertificate:
+class RegularityCertificate(NamedTuple):
     """A regularity value plus the restriction that attains it.
 
     The witness re-verifies: the induced subcomplex on ``witness_vertices``

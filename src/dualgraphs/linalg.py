@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -52,18 +52,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Coefficient field: the rationals (p=None) or a prime field GF(p)."""
+class FieldSpec(namedtuple("FieldSpec", "p", defaults=(None,))):
+    """Coefficient field: the rationals (p=None) or a prime field GF(p).
+    Immutable; equal, with the same hash, only to a FieldSpec of the same p."""
 
-    p: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is not None:
-            if self.p >= _PRIME_CAP:
-                raise FieldError(f"prime {self.p} exceeds the 2^31 cap")
-            if not _is_prime(self.p):
-                raise FieldError(f"{self.p} is not prime")
+    def __new__(cls, p: int | None = None):
+        if p is not None:
+            if p >= _PRIME_CAP:
+                raise FieldError(f"prime {p} exceeds the 2^31 cap")
+            if not _is_prime(p):
+                raise FieldError(f"{p} is not prime")
+        return super().__new__(cls, p)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.p == other.p
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def is_rationals(self) -> bool:

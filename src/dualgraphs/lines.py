@@ -23,43 +23,49 @@ membership.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
-from math import inf
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import HypothesisError, InputError
-from .graphs import Graph, diameter, edge_connectivity, is_k_connected
+from .graphs import CanonicalGraphCheck, Graph, HirschVerdict, check_canonical_graph, diameter
+from .graphs import edge_connectivity
 from .linalg import integer_kernel, integer_vector, kernel_image, parse_rational_vector
 from .linalg import rational_to_json
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
-    """A line in P^N spanned by two independent points.
+class ProjectiveLine(namedtuple("ProjectiveLine", "ambient_dim p q rows kernel")):
+    """A line in P^N spanned by two independent rational points ``p`` and ``q``.
 
     ``rows`` holds them as primitive integer rows and ``kernel`` an integer
-    basis of the N - 1 dimensional kernel of those rows. Neither is a
-    dataclass field, so equality and the hash read ``p`` and ``q`` only.
+    basis of the N - 1 dimensional kernel of those rows. Both follow from
+    the points, so equality and the hash read ``ambient_dim``, ``p``, ``q``.
     """
 
-    ambient_dim: int
-    p: tuple[Fraction, ...]
-    q: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __new__(cls, ambient_dim: int, p, q):
+        if ambient_dim < 1:
             raise InputError("ambient dimension must be >= 1")
-        for vec in (self.p, self.q):
-            if len(vec) != self.ambient_dim + 1:
-                raise InputError(
-                    f"point needs {self.ambient_dim + 1} homogeneous coordinates"
-                )
-        rows = (integer_vector(self.p), integer_vector(self.q))
-        span, kernel = integer_kernel(rows, self.ambient_dim + 1)
+        for vec in (p, q):
+            if len(vec) != ambient_dim + 1:
+                raise InputError(f"point needs {ambient_dim + 1} homogeneous coordinates")
+        rows = (integer_vector(p), integer_vector(q))
+        span, kernel = integer_kernel(rows, ambient_dim + 1)
         if span != 2:
             raise InputError("the two points do not span a line")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "kernel", kernel)
+        return super().__new__(cls, ambient_dim, p, q, rows, kernel)
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @classmethod
     def through(cls, ambient_dim: int, p, q) -> "ProjectiveLine":
@@ -189,8 +195,7 @@ def genus(arr: LineArrangement) -> int:
     return t - arr.n_lines + 1
 
 
-@dataclass
-class CurveReport:
+class CurveReport(NamedTuple):
     """Dual-graph analysis of a line arrangement as a projective curve."""
 
     line_count: int
@@ -207,9 +212,9 @@ class CurveReport:
     trivalent_three_connected: bool | None
 
 
-#: CurveReport verdicts
-VERDICT_HIRSCH = "hirsch"
-VERDICT_NOT_HIRSCH = "not_hirsch"
+#: CurveReport verdicts: the value of a Hirsch verdict, or not embeddable
+VERDICT_HIRSCH = HirschVerdict.HIRSCH.value
+VERDICT_NOT_HIRSCH = HirschVerdict.NOT_HIRSCH.value
 VERDICT_NOT_EMBEDDABLE = "not_canonically_embeddable"
 
 
@@ -252,44 +257,6 @@ def canonical_hirsch_verdict(arr: LineArrangement) -> CurveReport:
         branch=None if check is None else check.branch,
         trivalent_three_connected=None if check is None else check.trivalent_three_connected,
     )
-
-
-@dataclass(frozen=True)
-class CanonicalGraphCheck:
-    """Graph-side diameter check for canonically embedded line arrangements."""
-
-    vertex_count: int
-    edge_count: int
-    height: int
-    diameter: float | int
-    passed: bool
-    branch: str
-    trivalent_three_connected: bool | None
-
-
-def check_canonical_graph(g: Graph) -> CanonicalGraphCheck:
-    """For a 3-edge-connected graph on s >= 4 vertices with t edges, verify
-    diam <= t - s - 1 (the height of the canonical curve it would model).
-
-    Which argument applies is reported: the edge-connectivity bound when
-    2t > 3s, the trivalent vertex-connectivity bound when 2t = 3s.
-    """
-    if g.n < 4:
-        raise HypothesisError("need at least 4 vertices")
-    lam, _ = edge_connectivity(g)
-    if lam < 3:
-        raise HypothesisError(f"graph is only {lam}-edge-connected, need 3")
-    s, t = g.n, g.m
-    height = t - s - 1
-    diam = diameter(g)
-    trivalent_three = None
-    if 2 * t == 3 * s:
-        branch = "trivalent"
-        trivalent_three = is_k_connected(g, 3)
-    else:
-        branch = "edge_bound"
-    passed = diam != inf and diam <= height
-    return CanonicalGraphCheck(s, t, height, diam, passed, branch, trivalent_three)
 
 
 # -- JSON format ------------------------------------------------------------------

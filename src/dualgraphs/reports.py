@@ -18,7 +18,8 @@ Both read the analyzed objects, never the report dict: the dual graph
 first, then the input and what the report derived from it. Invariants are
 computed once and kept on the object that owns them (the ``Graph``, the
 ``LineArrangement``, the ``SubspaceArrangement``), and package functions are
-looked up through their modules when a check runs.
+looked up through their modules when a check runs. Only ``graphs`` serves
+every report kind; each builder imports the modules of its own kind.
 """
 
 from __future__ import annotations
@@ -27,14 +28,9 @@ import itertools
 from math import inf
 from typing import Callable, NamedTuple
 
-from . import arrangements as arr_mod
 from . import graphs as graph_mod
-from . import homology
-from . import lines as lines_mod
-from .complexes import SimplicialComplex
-from .errors import HypothesisError, ResourceCapError
-from .graphs import Graph, HirschVerdict
-from .linalg import QQ, FieldSpec
+from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, HypothesisError, ResourceCapError
+from .graphs import HirschVerdict
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -329,10 +325,13 @@ _COMPLEX_CHECKS = (
 
 def build_complex_report(
     cx: SimplicialComplex,
-    fields: tuple[FieldSpec, ...] = (QQ,),
-    max_hochster_n: int = homology.DEFAULT_MAX_HOCHSTER_VERTICES,
+    fields: tuple[FieldSpec, ...] | None = None,
+    max_hochster_n: int = DEFAULT_MAX_HOCHSTER_VERTICES,
     descriptor: str = "complex",
 ) -> dict:
+    """The complex report over each of ``fields`` (default: Q alone)."""
+    from . import homology
+
     report = {
         "kind": "complex",
         "input": descriptor,
@@ -378,6 +377,8 @@ def build_complex_report(
     normal = homology.is_normal(cx) if pure else None
     results = []
     report["fields"] = {}
+    if fields is None:
+        fields = (homology.QQ,)
     for field in dict.fromkeys(fields):  # a repeated field is analyzed once
         cert = homology.regularity(cx, field, max_vertices=max_hochster_n)
         betti = homology.reduced_betti_numbers(cx, field)
@@ -480,7 +481,9 @@ def build_arrangement_report(
     ds_subset=None,
     sections_applied: int = 0,
 ) -> dict:
-    rep = arr_mod.analyze_arrangement(
+    from .arrangements import analyze_arrangement
+
+    rep = analyze_arrangement(
         arr, regularity_certificate=regularity_certificate, ds_subset=ds_subset
     )
     g = rep.dual_graph
@@ -516,11 +519,11 @@ _LINES_CHECKS = (
           "canonically embedded triple-point-free line arrangements"
           " satisfy diam <= height = genus - 2",
           lambda g, arr, curve: _violated(curve) or _unless(
-              curve.verdict != lines_mod.VERDICT_NOT_EMBEDDABLE,
+              curve.three_edge_connected,
               f"dual graph is only {curve.edge_connectivity}-edge-connected:"
               " not canonically embeddable"),
           lambda g, arr, curve: (
-              curve.verdict == lines_mod.VERDICT_HIRSCH,
+              curve.verdict == HirschVerdict.HIRSCH.value,
               f"diameter {_diam_value(curve.diameter)} vs height {curve.height}"
               f" ({curve.branch} branch)")),
     Check("trivalent_three_connected", "3-edge-connected trivalent graphs are 3-connected",
@@ -532,6 +535,8 @@ _LINES_CHECKS = (
 
 
 def build_lines_report(arr, descriptor: str = "lines") -> dict:
+    from . import lines as lines_mod
+
     ok, pt = lines_mod.no_triple_points(arr)
     g = lines_mod.dual_graph(arr)
     out = {
@@ -607,7 +612,7 @@ _GRAPH_CHECKS = (
 def build_graph_report(g: Graph, descriptor: str = "graph") -> dict:
     witness = graph_mod.contains_forbidden_line_graph(g)
     try:
-        canonical = lines_mod.check_canonical_graph(g)
+        canonical = graph_mod.check_canonical_graph(g)
     except HypothesisError as exc:
         canonical = exc
     return {

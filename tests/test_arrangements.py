@@ -281,6 +281,30 @@ def test_zero_forms_are_the_zero_ideal():
 multipliers = st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(bool)
 
 
+def test_section_neither_parses_nor_converts_its_rows(monkeypatch):
+    calls = []
+    for name in ("parse_rational_vector", "integer_vector"):
+        original = getattr(arrangements_module, name)
+        monkeypatch.setattr(arrangements_module, name,
+                            lambda *a, original=original: calls.append(a) or original(*a))
+    arr = from_complex(crosspolytope_boundary(3))
+    calls.clear()
+    sliced = generic_hyperplane_section(arr, seed=1)
+    assert calls == []
+    # the same arrangement as its forms parsed afresh
+    again = SubspaceArrangement(sliced.n_vars, sliced.components)
+    assert again == sliced and again.heights == sliced.heights == arr.heights
+    assert dual_edge_indices(again) == dual_edge_indices(sliced) == dual_edge_indices(arr)
+
+
+def test_records_are_immutable(nonhirsch):
+    rep = analyze_arrangement(nonhirsch, regularity_certificate=1)
+    with pytest.raises(AttributeError):
+        rep.unmixed = False
+    with pytest.raises(AttributeError):
+        rep.regularity_check.passed = True
+
+
 @st.composite
 def forms_of_equal_count(draw):
     """(n, components): 2-5 components of k small integer forms in n variables."""

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,8 @@ import pytest
 from dualgraphs.cli import main
 
 SAMPLES = Path(__file__).parent.parent / "sample_inputs"
+SRC = Path(__file__).parent.parent / "src"
+FAMILIES = ("crosspolytope", "simplex", "tadpole", "hypercube", "path", "complete", "forbidden6")
 
 
 def run(capsys, *argv):
@@ -316,3 +321,73 @@ def test_ds_subset_accepts_the_last_component(capsys):
                          "--format", "json")
     assert code == 0, err
     assert json.loads(out)["derksen_sidman_bound"] == 0
+
+
+def test_generate_unknown_family_names_every_family(capsys):
+    code, out, err = run(capsys, "generate", "nosuch")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(family in err for family in FAMILIES)
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("generate", FAMILIES),
+    ("analyze-complex", ("default 20",)),
+])
+def test_help_text(capsys, command, expected):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # argparse wraps help to the terminal width, differently across versions
+    out = " ".join(capsys.readouterr().out.split())
+    assert all(text in out for text in expected)
+
+
+#: Reports the package modules and whether ``dataclasses`` were loaded by a
+#: command run in a fresh interpreter (its report output is discarded).
+_LOADED = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from dualgraphs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = set(sys.modules) - before
+print(json.dumps([code, sorted(m[len("dualgraphs."):] for m in loaded
+                               if m.startswith("dualgraphs.")), "dataclasses" in loaded]))
+"""
+
+
+def _loaded_by(*argv, code=_LOADED):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+_BASE = {"cli", "errors", "graphs", "reports"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["check-graph", "{tmp}/q3.edges"], _BASE),
+    (["analyze-lines", str(SAMPLES / "four_lines_p2.json")], _BASE | {"lines", "linalg"}),
+    (["analyze-arrangement", str(SAMPLES / "nonhirsch_arrangement.json")],
+     _BASE | {"arrangements", "linalg"}),
+    (["analyze-complex", "{tmp}/x2.facets"], _BASE | {"complexes", "homology", "linalg"}),
+    (["generate", "hypercube", "3"], {"cli", "errors", "graphs"}),
+    (["generate", "crosspolytope", "2"], {"cli", "errors", "complexes"}),
+], ids=["check-graph", "analyze-lines", "analyze-arrangement", "analyze-complex",
+        "generate-graph", "generate-complex"])
+def test_each_command_loads_only_its_modules(capsys, tmp_path, argv, modules):
+    run(capsys, "generate", "hypercube", "3", "--out", str(tmp_path / "q3.edges"))
+    run(capsys, "generate", "crosspolytope", "2", "--out", str(tmp_path / "x2.facets"))
+    code, loaded, dataclasses = _loaded_by(*(a.format(tmp=tmp_path) for a in argv))
+    assert code == 0
+    assert set(loaded) == modules
+    assert not dataclasses
+
+
+def test_importing_the_package_loads_no_module():
+    code = ("import json, sys\nimport dualgraphs\n"
+            "print(json.dumps([0, [m for m in sys.modules if m.startswith('dualgraphs.')], 0]))")
+    assert _loaded_by(code=code)[1] == []

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,21 @@ def test_field_spec_validation():
         prime_field(1)
     with pytest.raises(FieldError):
         FieldSpec(2**31 + 11)
+
+
+def test_field_spec_equality_hash_and_immutability():
+    assert FieldSpec() == FieldSpec(None) == QQ and prime_field(7) == FieldSpec(7)
+    assert QQ != prime_field(2) and prime_field(2) != prime_field(3)
+    assert hash(prime_field(7)) == hash(FieldSpec(7)) == hash((7,))
+    assert len({QQ, FieldSpec(None), prime_field(2), FieldSpec(2), prime_field(3)}) == 3
+    # equal only to a FieldSpec, not to a tuple with the same entries
+    assert prime_field(2) != (2,) and not prime_field(2) == (2,)
+    for copied in (copy.copy(QQ), copy.deepcopy(prime_field(5)), pickle.loads(pickle.dumps(QQ))):
+        assert copied in (QQ, prime_field(5))
+    with pytest.raises(AttributeError):
+        QQ.p = 2
+    with pytest.raises(AttributeError):
+        QQ.q = 2
 
 
 def test_parse_field():

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -240,6 +242,35 @@ def test_arrangement_validation():
     l3 = P(2, (Fraction(1, 3), Fraction(1, 3), 0), (1, -1, 0))
     with pytest.raises(InputError, match="lines 1 and 2 coincide"):
         LineArrangement(2, [l1, l3])
+
+
+def test_projective_line_equality_hash_and_immutability():
+    line = P(2, (1, 0, 0), (0, 1, 0))
+    same = ProjectiveLine(2, (Fraction(1), 0, 0), (0, 1, 0))
+    assert line == same and hash(line) == hash(same) == hash((2, line.p, line.q))
+    # equality reads the points only, never the derived rows and kernel
+    assert line == line._replace(rows=None, kernel=None)
+    assert line != P(2, (2, 0, 0), (0, 1, 0)) and line != P(3, (1, 0, 0, 0), (0, 1, 0, 0))
+    assert line != tuple(line)
+    assert len({line, same, P(2, (0, 1, 0), (1, 0, 0))}) == 2
+    for copied in (copy.copy(line), copy.deepcopy(line), pickle.loads(pickle.dumps(line))):
+        assert copied == line and copied.kernel == line.kernel
+    for attr in ("p", "rows", "kernel", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(line, attr, None)
+
+
+def test_check_canonical_graph_lives_in_graphs():
+    import dualgraphs.graphs as graphs_module
+
+    assert check_canonical_graph is graphs_module.check_canonical_graph
+    assert lines_module.CanonicalGraphCheck is graphs_module.CanonicalGraphCheck
+
+
+def test_curve_report_is_immutable():
+    rep = canonical_hirsch_verdict(four_general_lines())
+    with pytest.raises(AttributeError):
+        rep.verdict = VERDICT_NOT_EMBEDDABLE
 
 
 def test_inexact_coordinate_is_a_type_error():
