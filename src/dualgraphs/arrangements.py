@@ -19,6 +19,14 @@ Gauss-Jordan (``linalg.integer_kernel``), whose rank is its height h.
 Stacking the rows A_j of another component gives rank h + rank(A_j N_i), so
 a pair only asks whether the small image A_j N_i is zero (the same row
 space), of rank one (a dual edge) or of more (``linalg.kernel_image``).
+Most pairs are neither, and a Pluecker screen skips them first: integer
+G (n x (h+2)) and H (4 x (h+2)), drawn per height from a constant seed,
+mark a component of height h >= 2 by the line H U of P^3 when U = ker(A G)
+is a plane and H is injective on it (``plucker_mark``). An edge or a shared
+row space means kernels meeting in codimension <= h + 1, so U_i and U_j
+share a vector w != 0, H w != 0, and the lines meet: a nonzero Pluecker
+pairing skips a pair exactly, whatever G and H are. Components with no
+mark (h < 2, say) are tested against every earlier one of their height.
 ``components`` keeps the listed forms for equality and JSON output, ``rows``
 the integer rows.
 
@@ -32,6 +40,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import HypothesisError, InputError, NotUnmixedError, SectionError
@@ -54,6 +63,28 @@ from .linalg import (
 
 _SECTION_COEFF_MAX = 2**16
 _SECTION_MAX_ATTEMPTS = 32
+#: p01, p02, p03, p23, p31, p12: lines p, q meet iff p . (q rotated by 3) = 0
+_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+
+
+def screen_matrices(n_vars: int, h: int):
+    """The columns of G (n_vars x (h+2)) and rows of H (4 x (h+2)) that
+    mark components of height h: small integers from a constant seed."""
+    rng = random.Random(h)
+    return [[[rng.randint(-9, 9) for _ in range(width)] for _ in range(count)]
+            for width, count in ((n_vars, h + 2), (h + 2, 4))]
+
+
+def plucker_mark(rows, g_cols, h_rows):
+    """The Pluecker coordinates of the line H ker(rows G), or None unless
+    that kernel is a plane on which H is injective."""
+    ag = [[sum(map(mul, r, g)) for g in g_cols] for r in rows]
+    _, basis = integer_kernel(ag, len(g_cols))
+    if len(basis) != 2:
+        return None
+    x, y = ([sum(map(mul, row, u)) for row in h_rows] for u in basis)
+    mark = tuple(x[a] * y[b] - x[b] * y[a] for a, b in _PLUCKER_PAIRS)
+    return mark if any(mark) else None
 
 
 class SubspaceArrangement:
@@ -71,9 +102,11 @@ class SubspaceArrangement:
     The constructor finds, for every pair of components of equal height,
     whether their stacked rank exceeds that height by exactly one, and
     keeps those pairs: the dual edges. It does so by one integer kernel per
-    component and a rank-one test per pair (see the module docstring). The
-    dual graph is built from the edges on first use and kept on the
-    instance.
+    component and a rank-one test per pair, skipped when the pair's
+    Pluecker marks are lines of P^3 that do not meet: an edge or a shared
+    row space makes their planes U_i, U_j meet by a dimension count, so the
+    stacked rank is then h + 2 or more (module docstring). The dual graph
+    is built from the edges on first use and kept on the instance.
     """
 
     def __init__(self, n_vars: int, components, *, rows=None):
@@ -101,19 +134,26 @@ class SubspaceArrangement:
         heights = []
         same = []
         self._adjacent_pairs = set()
+        screens, marks = {}, []
         # one kernel at a time, tested against the rows of every earlier
-        # component of its height: the stacked rank exceeds the height by
-        # the rank of the image
+        # component of its height whose line meets its own: the stacked
+        # rank exceeds the height by the rank of the image
         for j, comp_rows in enumerate(rows):
             h, kernel = integer_kernel(comp_rows, n_vars)
+            if h >= 2 and h not in screens:
+                screens[h] = screen_matrices(n_vars, h)
+            mark = plucker_mark(comp_rows, *screens[h]) if h >= 2 else None
+            dual = mark and mark[3:] + mark[:3]
             for i in range(j):
-                if heights[i] == h:
-                    extra, _ = kernel_image(rows[i], kernel)
-                    if extra == 0:
-                        same.append((i, j))
-                    elif extra == 1:
-                        self._adjacent_pairs.add((i, j))
+                if heights[i] != h or dual and marks[i] and sum(map(mul, marks[i], dual)):
+                    continue
+                extra, _ = kernel_image(rows[i], kernel)
+                if extra == 0:
+                    same.append((i, j))
+                elif extra == 1:
+                    self._adjacent_pairs.add((i, j))
             heights.append(h)
+            marks.append(mark)
         if same:
             i, j = min(same)
             raise InputError(f"components {i + 1} and {j + 1} have the same row space")

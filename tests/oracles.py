@@ -382,10 +382,9 @@ def bf_reduced_betti(cxv: SimplicialComplex, field) -> list:
     return [len(group) - ranks[k] - ranks[k + 1] for k, group in enumerate(faces)]
 
 
-def bf_reisner(cxv: SimplicialComplex, field) -> tuple[bool, bool]:
-    """(Cohen-Macaulay, homology sphere) over ``field`` by Reisner's
-    criterion, from ``bf_reduced_betti`` of the link of every face, each
-    link rebuilt from the facets that contain the face."""
+def bf_link_bettis(cxv: SimplicialComplex, field) -> list[list]:
+    """``bf_reduced_betti`` of the link of every face, the empty face
+    included, each link rebuilt from the facets that contain the face."""
     facets = [frozenset(f) for f in cxv.facet_labels()]
     faces = {frozenset(sub) for f in facets
              for k in range(len(f) + 1) for sub in itertools.combinations(f, k)}
@@ -396,6 +395,13 @@ def bf_reisner(cxv: SimplicialComplex, field) -> tuple[bool, bool]:
             profiles.append([1])  # a facet's link is the empty complex
         else:
             profiles.append(bf_reduced_betti(SimplicialComplex.from_facets(link), field))
+    return profiles
+
+
+def bf_reisner(cxv: SimplicialComplex, field) -> tuple[bool, bool]:
+    """(Cohen-Macaulay, homology sphere) over ``field`` by Reisner's
+    criterion, from ``bf_link_bettis``."""
+    profiles = bf_link_bettis(cxv, field)
     cm = all(not any(bt[:-1]) for bt in profiles)
     return cm, cm and all(bt[-1] == 1 for bt in profiles)
 
@@ -432,6 +438,15 @@ def bf_regularity(cxv: SimplicialComplex, field):
         if top > best:
             best, best_mask = top, w
     return best, cxv.labels_of(best_mask)
+
+
+def bf_hochster_regularity(cxv: SimplicialComplex, field) -> int:
+    """Regularity of k[cxv] from local cohomology (Hochster 1977): the
+    largest t + 1 with b~_t(lk F) != 0 over the faces F, the empty face
+    included. It reads links, where ``bf_regularity`` reads restrictions;
+    ``bf_link_bettis`` lists b~_-1 first, so t + 1 is the list index."""
+    return max(max(k for k, b in enumerate(bt) if b)
+               for bt in bf_link_bettis(cxv, field) if any(bt))
 
 
 def bf_acyclic_by_cone(cxv: SimplicialComplex, w: int) -> bool:

@@ -18,6 +18,8 @@ from dualgraphs.arrangements import (
     dual_graph,
     from_complex,
     generic_hyperplane_section,
+    plucker_mark,
+    screen_matrices,
 )
 from dualgraphs.complexes import (
     crosspolytope_boundary,
@@ -372,18 +374,17 @@ def small_arrangements(draw):
             if len(base) >= 2:
                 comp.append([a - b for a, b in zip(base[0], base[1])])
         else:
-            comp = [[draw(st.integers(-2, 2).filter(bool)) * x for x in pool[f]] for f in subset]
+            scales = draw(st.lists(st.integers(-2, 2).filter(bool), min_size=k, max_size=k))
+            comp = [[m * x for x in pool[f]] for f, m in zip(subset, scales)]
         comps.append(comp)
     return n, comps
 
 
-@given(small_arrangements())
-def test_dual_edges_and_same_row_space_match_the_stacked_rank_oracle(arr_data):
-    # the definition the kernel test computes: components of equal height h
-    # share a row space when stacking them has rank h, and are adjacent when
-    # it has rank h + 1
-    n, comps = arr_data
-
+def stacked_rank_oracle(comps):
+    """(heights, least pair of equal row spaces or None, dual edges) of the
+    definition the kernel test computes: components of equal height h share
+    a row space when stacking them has rank h, and are adjacent when it has
+    rank h + 1."""
     def rank_of(rows):
         return gauss_rank(rows) if rows else 0
 
@@ -397,6 +398,11 @@ def test_dual_edges_and_same_row_space_match_the_stacked_rank_oracle(arr_data):
                     same = same or (i, j)
                 elif stacked == heights[i] + 1:
                     edges.add((i, j))
+    return heights, same, edges
+
+
+def assert_matches_stacked_rank_oracle(n, comps, oracle=None):
+    heights, same, edges = oracle or stacked_rank_oracle(comps)
     if same is not None:
         i, j = same
         with pytest.raises(InputError,
@@ -406,3 +412,148 @@ def test_dual_edges_and_same_row_space_match_the_stacked_rank_oracle(arr_data):
     arr = SubspaceArrangement(n, comps)
     assert arr.heights == tuple(heights)
     assert arr._adjacent_pairs == edges
+
+
+@given(small_arrangements())
+def test_dual_edges_and_same_row_space_match_the_stacked_rank_oracle(arr_data):
+    assert_matches_stacked_rank_oracle(*arr_data)
+
+
+# -- the Pluecker screen: exact whatever its matrices G and H are -----------------
+
+
+COMPONENT_KINDS = ["fresh"] * 4 + ["swap"] * 8 + ["more", "less", "copy"]
+
+
+@st.composite
+def wide_arrangements(draw):
+    """(n, components): 2-9 components in 4-8 variables, most of one height
+    c in [2, n - 2]. Each is a distinct subset, rescaled, of a pool of
+    c + 2 to n + 3 forms: the coordinate forms x_i, then x_i + x_(i+1), all
+    with drawn entries in [-2, 2] added, so that shrinking leads to
+    coordinate arrangements. About half swap one form of an earlier
+    subset, so that components often meet in codimension one; one in
+    fifteen each has a form more or a form less (mixed heights) or repeats
+    an earlier component's row space."""
+    n = draw(st.integers(4, 8))
+    c = draw(st.integers(2, n - 2))
+    size = draw(st.integers(c + 2, n + 3))
+    pool = [[int(j in (i % n, (i + i // n) % n)) + draw(st.integers(-2, 2)) for j in range(n)]
+            for i in range(size)]
+    comps, subsets = [], []
+    for _ in range(draw(st.sampled_from(range(2, 10)))):
+        kind = draw(st.sampled_from(COMPONENT_KINDS))
+        if comps and kind == "copy":
+            base = draw(st.sampled_from(comps))
+            comps.append(list(reversed(base)) + [[a - b for a, b in zip(base[0], base[-1])]])
+            continue
+        if subsets and kind == "swap":
+            subset = list(draw(st.sampled_from(subsets)))
+            subset[draw(st.integers(0, len(subset) - 1))] = draw(
+                st.sampled_from(sorted(set(range(size)) - set(subset))))
+        else:
+            k = min(c + (kind == "more") - (kind == "less"), size)
+            subset = draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k, unique=True))
+        if set(subset) in map(set, subsets):
+            continue
+        subsets.append(subset)
+        scales = draw(st.lists(st.integers(-2, 2).filter(bool), min_size=len(subset),
+                               max_size=len(subset)))
+        comps.append([[m * x for x in pool[f]] for f, m in zip(subset, scales)])
+    assume(len(comps) >= 2)
+    return n, comps
+
+
+def degenerate_screens(kind, data=None):
+    """A stand-in for ``screen_matrices``: the default G and H spoiled in one
+    way, or (``"drawn"``) entries in [-1, 1] drawn by hypothesis."""
+    def screens(n_vars, h):
+        if kind == "drawn":
+            def entries(width, count):
+                return data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=width,
+                                                   max_size=width),
+                                          min_size=count, max_size=count))
+            return entries(n_vars, h + 2), entries(h + 2, 4)
+        g_cols, h_rows = screen_matrices(n_vars, h)
+        if kind == "zero G":
+            g_cols = [[0] * n_vars for _ in g_cols]
+        elif kind == "G of rank below h + 2":
+            g_cols[-1] = [a - b for a, b in zip(g_cols[0], g_cols[1])]
+        elif kind == "H kills a direction":
+            # G's last column is the first coordinate vector and H kills the
+            # last direction of Q^(h+2): a component whose forms all have
+            # first coefficient 0 has that direction in its kernel plane
+            g_cols[-1] = [1] + [0] * (n_vars - 1)
+            h_rows = [row[:-1] + [0] for row in h_rows]
+        return g_cols, h_rows
+    return screens
+
+
+SCREEN_KINDS = ["default", "drawn", "zero G", "G of rank below h + 2", "H kills a direction"]
+
+
+@given(wide_arrangements(), st.sampled_from(SCREEN_KINDS), st.data())
+def test_screen_keeps_heights_edges_and_same_row_space_error(arr_data, kind, data):
+    n, comps = arr_data
+    oracle = stacked_rank_oracle(comps)
+    with pytest.MonkeyPatch.context() as mp:
+        if kind != "default":
+            mp.setattr(arrangements_module, "screen_matrices", degenerate_screens(kind, data))
+        assert_matches_stacked_rank_oracle(n, comps, oracle)
+
+
+@pytest.mark.parametrize("kind", SCREEN_KINDS[:1] + SCREEN_KINDS[2:])
+@pytest.mark.parametrize("n, comps", [
+    # height 1: any two distinct hyperplanes meet in codimension one
+    (4, [[[1, 0, 0, 0]], [[0, 1, 0, 0]], [[1, 1, 0, 0]], [[1, 2, 3, 4]]]),
+    # n - c = 1: any two distinct lines through the origin span a plane
+    (4, [[_e(0), _e(1), _e(2)], [_e(1), _e(2), _e(3)], [[1, 1, 0, 0], _e(2), _e(3)],
+         [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]]),
+    # mixed heights 2 and 3: edges only within a height
+    (5, [[_e(0, 5), _e(1, 5)], [_e(1, 5), _e(2, 5)], [_e(3, 5), _e(4, 5)],
+         [_e(0, 5), _e(1, 5), _e(2, 5)], [_e(1, 5), _e(2, 5), _e(3, 5)]]),
+    # a zero component beside hyperplanes
+    (3, [[], [[1, 0, 0]], [[0, 1, 1]]]),
+    # the same row space, listed differently, after an edge
+    (5, [[_e(0, 5), _e(1, 5)], [_e(0, 5), _e(2, 5)], [_e(3, 5), _e(4, 5)],
+         [[0, 0, 0, 1, 1], [0, 0, 0, 2, 1]]]),
+])
+def test_screen_on_low_and_high_heights_mixed_and_zero_components(n, comps, kind):
+    with pytest.MonkeyPatch.context() as mp:
+        if kind != "default":
+            mp.setattr(arrangements_module, "screen_matrices", degenerate_screens(kind))
+        assert_matches_stacked_rank_oracle(n, comps)
+
+
+def test_plucker_marks_of_coordinate_planes():
+    # G and H the identity on Q^4: a component's mark is the line of its
+    # kernel, and the pairing vanishes exactly when the lines meet
+    ident = [list(_e(i)) for i in range(4)]
+
+    def mark(*axes):
+        return plucker_mark([_e(i) for i in axes], ident, ident)
+
+    def pairing(p, q):
+        return sum(a * b for a, b in zip(p, q[3:] + q[:3]))
+
+    x01, x23, x02 = mark(0, 1), mark(2, 3), mark(0, 2)
+    assert pairing(x01, x23) != 0  # stacked rank 4: no edge
+    assert pairing(x01, x02) == pairing(x23, x02) == pairing(x01, x01) == 0
+    assert plucker_mark([_e(0), _e(1)], [[0] * 4] * 4, ident) is None
+    assert plucker_mark([_e(0)], ident, ident) is None  # a kernel of dimension 3
+    killed = [row[:3] + [0] for row in ident]
+    assert plucker_mark([_e(0), _e(1)], ident, killed) is None  # H kills e_3 in U
+
+
+def test_kernel_tests_run_only_on_dual_edges(monkeypatch):
+    # the crosspolytope-6 arrangement has 64 components, 2,016 pairs of
+    # equal height and 192 dual edges; the screen leaves only the edges
+    calls = []
+    original = arrangements_module.kernel_image
+    monkeypatch.setattr(arrangements_module, "kernel_image",
+                        lambda *a: calls.append(a) or original(*a))
+    arr = from_complex(crosspolytope_boundary(6))
+    assert len(calls) == len(dual_edge_indices(arr)) == 192
+    calls.clear()
+    sliced = generic_hyperplane_section(arr)
+    assert len(calls) == len(dual_edge_indices(sliced)) == 192

@@ -24,7 +24,7 @@ from dualgraphs.homology import (
 )
 from dualgraphs.linalg import QQ, prime_field
 from dualgraphs.reports import build_complex_report
-from oracles import bf_acyclic_by_cone, bf_boundary, bf_faces, cx
+from oracles import bf_acyclic_by_cone, bf_boundary, bf_faces, bf_hochster_regularity, cx
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -116,6 +116,13 @@ def test_regularity_values():
         assert regularity(crosspolytope_boundary(r)).value == r
     for d in (1, 2, 3, 4):
         assert regularity(simplex_boundary(d)).value == d
+
+
+def test_hochster_link_oracle_sees_the_field(rp2):
+    # over Q the projective plane is acyclic and its vertex links (circles)
+    # give 2; over GF(2) its own top class, the link of the empty face, gives 3
+    for field, value in ((QQ, 2), (GF2, 3)):
+        assert bf_hochster_regularity(rp2, field) == regularity(rp2, field).value == value
 
 
 def test_regularity_witness_reverifies():

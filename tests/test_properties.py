@@ -36,6 +36,7 @@ from oracles import (
     hilbert_h_vector,
     bf_minimal_nonfaces,
     bf_reduced_betti,
+    bf_hochster_regularity,
     bf_regularity,
     reduced_euler_characteristic,
 )
@@ -155,6 +156,13 @@ def test_minimal_nonfaces_roundtrip_and_oracle(c):
 def test_regularity_matches_unskipped_sweep_oracle(c, field):
     cert = regularity(c, field)
     assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
+
+
+@given(complexes(max_vertices=7), st.sampled_from([QQ, GF2]))
+def test_regularity_matches_hochster_link_oracle(c, field):
+    # local cohomology from the links of faces, apart from the restriction
+    # sweep and its oracle
+    assert regularity(c, field).value == bf_hochster_regularity(c, field)
 
 
 @given(complexes(max_vertices=5, max_facets=5))
