@@ -13,12 +13,12 @@ components is not checked.
 
 That stacked rank is how adjacency is defined, not how it is computed. Each
 form is converted once, by the constructor, to its primitive integer row
-(``linalg.integer_vector``), unless the caller already has integer rows,
-and each component gets one integer kernel basis N_i by fraction-free
-Gauss-Jordan (``linalg.integer_kernel``), whose rank is its height h.
-Stacking the rows A_j of another component gives rank h + rank(A_j N_i), so
-a pair only asks whether the small image A_j N_i is zero (the same row
-space), of rank one (a dual edge) or of more (``linalg.kernel_image``).
+(``linalg.integer_vector``), and each component gets one integer kernel
+basis N_i by fraction-free Gauss-Jordan (``linalg.integer_kernel``), whose
+rank is its height h. Stacking the rows A_j of another component gives
+rank h + rank(A_j N_i), so a pair only asks whether the small image A_j N_i
+is zero (the same row space), of rank one (a dual edge) or of more
+(``linalg.kernel_image``).
 Most pairs are neither, and a Pluecker screen skips them first: integer
 G (n x (h+2)) and H (4 x (h+2)), drawn per height from a constant seed,
 mark a component of height h >= 2 by the line H U of P^3 when U = ker(A G)
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -95,10 +94,6 @@ class SubspaceArrangement:
     their row spaces. Two components with the same row space are rejected;
     one containing another is not.
 
-    ``rows``, when given, holds each listed form, of length ``n_vars``,
-    times a nonzero integer; the forms are then neither parsed nor
-    converted. A hyperplane section passes its integer rows as both.
-
     The constructor finds, for every pair of components of equal height,
     whether their stacked rank exceeds that height by exactly one, and
     keeps those pairs: the dual edges. It does so by one integer kernel per
@@ -109,28 +104,25 @@ class SubspaceArrangement:
     is built from the edges on first use and kept on the instance.
     """
 
-    def __init__(self, n_vars: int, components, *, rows=None):
+    def __init__(self, n_vars: int, components):
         if n_vars < 1:
             raise InputError("need at least one variable")
         self.n_vars = n_vars
-        if rows is None:
-            comps = []
-            for forms in components:
-                parsed = []
-                for form in forms:
-                    row = parse_rational_vector(form, "coefficient")
-                    if len(row) != n_vars:
-                        raise InputError(
-                            f"form has {len(row)} coefficients, expected {n_vars}"
-                        )
-                    parsed.append(row)
-                comps.append(tuple(parsed))
-            components = comps
-            rows = tuple(tuple(integer_vector(form) for form in c) for c in comps)
-        if not components:
+        comps = []
+        for forms in components:
+            parsed = []
+            for form in forms:
+                row = parse_rational_vector(form, "coefficient")
+                if len(row) != n_vars:
+                    raise InputError(
+                        f"form has {len(row)} coefficients, expected {n_vars}"
+                    )
+                parsed.append(row)
+            comps.append(tuple(parsed))
+        if not comps:
             raise InputError("arrangement needs at least one component")
-        self.components = tuple(components)
-        self.rows = rows
+        self.components = tuple(comps)
+        self.rows = rows = tuple(tuple(integer_vector(form) for form in c) for c in comps)
         heights = []
         same = []
         self._adjacent_pairs = set()
@@ -183,10 +175,6 @@ class SubspaceArrangement:
         """For subspace arrangements the multiplicity is the component count."""
         return self.n_components
 
-    def dimension(self) -> int:
-        """Krull dimension n - c of the quotient (unmixed only)."""
-        return self.n_vars - self.common_height()
-
     def __eq__(self, other):
         return (
             isinstance(other, SubspaceArrangement)
@@ -233,8 +221,8 @@ def from_complex(cx: SimplicialComplex) -> SubspaceArrangement:
         forms = []
         for i in range(n):
             if not f >> i & 1:
-                row = [Fraction(0)] * n
-                row[i] = Fraction(1)
+                row = [0] * n
+                row[i] = 1
                 forms.append(tuple(row))
         components.append(tuple(forms))
     arr = SubspaceArrangement(n, components)
@@ -243,11 +231,7 @@ def from_complex(cx: SimplicialComplex) -> SubspaceArrangement:
     return arr
 
 
-def generic_hyperplane_section(
-    arr: SubspaceArrangement,
-    seed: int = 0,
-    max_attempts: int = _SECTION_MAX_ATTEMPTS,
-) -> SubspaceArrangement:
+def generic_hyperplane_section(arr: SubspaceArrangement, seed: int = 0) -> SubspaceArrangement:
     """Substitute the last variable by a random combination of the others.
 
     Requires an unmixed arrangement of quotient dimension >= 3, which is
@@ -257,9 +241,9 @@ def generic_hyperplane_section(
     draw retries with the incremented seed.
 
     The integer rows ``arr.rows`` are sliced, in integer arithmetic, and
-    passed to the constructor as both forms and rows: each sliced row is a
-    nonzero multiple of the sliced form, so the components keep their row
-    spaces, and the section its heights and dual edges.
+    become the forms of the section: each sliced row is a nonzero multiple
+    of the sliced form, so the components keep their row spaces, and the
+    section its heights and dual edges.
     """
     c = arr.common_height()
     n = arr.n_vars
@@ -271,7 +255,7 @@ def generic_hyperplane_section(
         )
     want_edges = dual_edge_indices(arr)
     last_error = "no attempts made"
-    for attempt in range(max_attempts):
+    for attempt in range(_SECTION_MAX_ATTEMPTS):
         rng = random.Random(seed + attempt)
         coeffs = [rng.randint(1, _SECTION_COEFF_MAX) for _ in range(n - 1)]
         rows = tuple(
@@ -279,7 +263,7 @@ def generic_hyperplane_section(
             for comp_rows in arr.rows
         )
         try:
-            sliced = SubspaceArrangement(n - 1, rows, rows=rows)
+            sliced = SubspaceArrangement(n - 1, rows)
         except InputError:
             last_error = "components collapsed to a common row space"
             continue
@@ -291,7 +275,7 @@ def generic_hyperplane_section(
             continue
         return sliced
     raise SectionError(
-        f"no generic section found in {max_attempts} attempts (seed {seed}): {last_error}"
+        f"no generic section found in {_SECTION_MAX_ATTEMPTS} attempts (seed {seed}): {last_error}"
     )
 
 

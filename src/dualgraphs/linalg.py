@@ -3,13 +3,18 @@
 Ranks and nullities drive every height, homology, and incidence computation
 in this package, so everything here is exact: arbitrary-precision integers
 and fractions, no floats. Over Q each row becomes its primitive integer
-multiple through ``integer_vector`` (dense) or ``integer_row`` (sparse), and
-``rank_int_sparse`` runs a unit-pivot pass, which removes the bulk of the
-rank without coefficient growth, then ranks the small dense remainder with
-``integer_kernel``, the one fraction-free elimination. GF(p) reduces
-entries mod p, never via ``integer_row``: dividing by the gcd can change the
-rank mod p, (p, 2p) becoming (1, 2). GF(2) reduces columns packed into ints
-by XOR.
+multiple through ``integer_vector`` (dense) or ``integer_row`` (sparse).
+One sparse elimination, ``_unit_elimination``, serves Z and GF(p): it
+pivots on units, shortest live row first, then sparsest column. Over Z the
+units are +-1, so it removes the bulk of the rank without coefficient
+growth, and ``rank_int_sparse`` ranks the small dense remainder with
+``integer_kernel``, the one fraction-free elimination. Over GF(p) every
+nonzero entry is a unit, so nothing remains. GF(p) reduces entries mod p,
+never via ``integer_row``: dividing by the gcd can change the rank mod p,
+(p, 2p) becoming (1, 2). GF(2) keeps its own reduction, of columns packed
+into ints by XOR (``rank_gf2_columns``): a column operation is then one int
+XOR, not a dict update per entry, and ``homology`` computes every Betti
+profile over Q first over GF(2).
 
 The geometry modules ask rank questions about pairs: is the rank of A
 stacked on B equal to rank A, rank A + 1, or more? That rank is
@@ -104,15 +109,17 @@ def parse_field(text: str) -> FieldSpec:
     raise FieldError(f"bad field spec {text!r} (expected 'q' or 'gf:p')")
 
 
-def parse_rational(x, what: str) -> Fraction:
+def parse_rational(x, what: str) -> int | Fraction:
     """An exact rational from an int, a Fraction or a string such as "3/4".
 
-    Strings follow Python 3.10's grammar on every Python (no "_", no space
-    beside "/"). Anything else -- a float, a bool, a malformed string, a zero
+    An int comes back unchanged, anything else as a Fraction. Strings follow
+    Python 3.10's grammar on every Python (no "_", no space beside "/").
+    Anything else -- a float, a bool, a malformed string, a zero
     denominator -- is an InputError naming ``what``, never a bare exception.
     """
-    exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-    if exact or isinstance(x, str) and not _NOT_PY310_RATIONAL.search(x):
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, Fraction) or isinstance(x, str) and not _NOT_PY310_RATIONAL.search(x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -120,7 +127,7 @@ def parse_rational(x, what: str) -> Fraction:
     raise InputError(f"{what} {x!r} is not an exact rational")
 
 
-def parse_rational_vector(values, what: str) -> tuple[Fraction, ...]:
+def parse_rational_vector(values, what: str) -> tuple[int | Fraction, ...]:
     """A list of exact rationals, each parsed by ``parse_rational``."""
     if not isinstance(values, (list, tuple)):
         raise InputError(f"expected a list of {what}s, got {values!r}")
@@ -164,16 +171,17 @@ def integer_vector(vec) -> tuple[int, ...]:
     """The primitive integer multiple of a rational vector, as a dense tuple.
 
     Scaled by the lcm of the denominators, then divided by the gcd, in
-    integer arithmetic only; signs are kept and the zero vector stays zero.
-    An entry that is not an int or a Fraction is a TypeError.
+    integer arithmetic only; signs are kept, the zero vector stays zero and
+    a primitive integer vector keeps its int objects. An entry that is not
+    an int or a Fraction is a TypeError.
     """
     for x in vec:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"entry {x!r} is not an exact rational")
     scale = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    ints = [x.numerator if scale == 1 else x.numerator * (scale // x.denominator) for x in vec]
     g = gcd(*ints) or 1
-    return tuple(v // g for v in ints)
+    return tuple(ints) if g == 1 else tuple(v // g for v in ints)
 
 
 def integer_row(vec) -> dict[int, int]:
@@ -186,19 +194,22 @@ def bareiss_rank(rows) -> int:
     return integer_kernel(rows, len(rows[0]) if rows else 0)[0]
 
 
-def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
-    """Rank over Q of an integer matrix given as sparse rows.
+def _unit_elimination(sparse_rows, p: int | None = None):
+    """Eliminate unit pivots from sparse rows over Z (p=None) or GF(p).
 
-    Unit (+-1) pivots are eliminated first -- shortest live row first (lazy
-    heap), breaking ties toward the sparsest column -- which keeps the
-    arithmetic integral with no coefficient growth. Whatever ends up
-    unit-free is ranked densely by ``integer_kernel`` (through
-    ``bareiss_rank``); any prefix of exact row eliminations preserves the
-    rank, so the split is a pure optimization.
+    Shortest live row first (lazy heap), then its sparsest unit column, the
+    lower index on ties. Over Z the units are +-1, their own inverses, which
+    keeps the arithmetic integral with no coefficient growth; over GF(p) the
+    entries are reduced mod p on the way in, zeros dropped, and every one is
+    a unit.
+    Returns the rank found and the live rows, none of which has a unit
+    entry: none at all over GF(p).
     """
-    rows: dict[int, dict[int, int]] = {
-        i: dict(r) for i, r in enumerate(sparse_rows) if r
-    }
+    rows: dict[int, dict[int, int]] = {}
+    for i, r in enumerate(sparse_rows):
+        r = {j: m for j, v in r.items() if (m := v % p)} if p else dict(r)
+        if r:
+            rows[i] = r
     col_rows: dict[int, set[int]] = {}
     for i, r in rows.items():
         for j in r:
@@ -213,25 +224,22 @@ def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
         row = rows.get(pi)
         if row is None or len(row) != length or pi in no_unit:
             continue
-        best = None
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                key = (len(col_rows[j]), j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        units = row if p else [j for j, v in row.items() if v == 1 or v == -1]
+        if not units:
             no_unit.add(pi)
             continue
-        pj = best[1]
+        pj = min(units, key=lambda j: (len(col_rows[j]), j))
         pivot_row = rows.pop(pi)
-        s = pivot_row[pj]
+        inv = pow(pivot_row[pj], -1, p) if p else pivot_row[pj]
         for j in pivot_row:
             col_rows[j].discard(pi)
         for i in sorted(col_rows.get(pj, ())):
             r = rows[i]
-            f = r[pj] * s
+            f = r[pj] * inv
             for j, v in pivot_row.items():
                 nv = r.get(j, 0) - f * v
+                if p:
+                    nv %= p
                 if nv:
                     if j not in r:
                         col_rows.setdefault(j, set()).add(i)
@@ -246,7 +254,18 @@ def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
                 heapq.heappush(heap, (len(r), i))
         col_rows.pop(pj, None)
         rank += 1
+    return rank, rows
 
+
+def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
+    """Rank over Q of an integer matrix given as sparse rows.
+
+    ``_unit_elimination`` removes the +-1 pivots; whatever ends up
+    unit-free is ranked densely by ``integer_kernel`` (through
+    ``bareiss_rank``). Any prefix of exact row eliminations preserves the
+    rank, so the split is a pure optimization.
+    """
+    rank, rows = _unit_elimination(sparse_rows)
     if rows:
         live_cols = sorted({j for r in rows.values() for j in r})
         col_of = {j: k for k, j in enumerate(live_cols)}
@@ -354,47 +373,9 @@ def _mod_p_rows(matrix: RationalMatrix, p: int) -> list[dict[int, int]]:
 
 
 def rank_mod_p_sparse(sparse_rows: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p): sparse elimination, shortest live row first."""
-    rows: dict[int, dict[int, int]] = {
-        i: dict(r) for i, r in enumerate(sparse_rows) if r
-    }
-    col_rows: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for j in r:
-            col_rows.setdefault(j, set()).add(i)
-
-    heap = [(len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        length, pi = heapq.heappop(heap)
-        row = rows.get(pi)
-        if row is None or len(row) != length:
-            continue
-        pj = min(row, key=lambda j: (len(col_rows[j]), j))
-        pivot_row = rows.pop(pi)
-        inv = pow(pivot_row[pj], -1, p)
-        for j in pivot_row:
-            col_rows[j].discard(pi)
-        for i in sorted(col_rows.get(pj, ())):
-            r = rows[i]
-            f = r[pj] * inv % p
-            for j, v in pivot_row.items():
-                nv = (r.get(j, 0) - f * v) % p
-                if nv:
-                    if j not in r:
-                        col_rows.setdefault(j, set()).add(i)
-                    r[j] = nv
-                elif j in r:
-                    del r[j]
-                    col_rows[j].discard(i)
-            if not r:
-                del rows[i]
-            else:
-                heapq.heappush(heap, (len(r), i))
-        col_rows.pop(pj, None)
-        rank += 1
-    return rank
+    """Rank over GF(p) of an integer matrix given as sparse rows: the rank
+    ``_unit_elimination`` finds, since every nonzero entry mod p is a unit."""
+    return _unit_elimination(sparse_rows, p)[0]
 
 
 def rank_gf2_columns(columns) -> int:

@@ -151,10 +151,11 @@ def test_generic_section_rejects_small_dimension(nonhirsch):
         generic_hyperplane_section(nonhirsch, seed=0)
 
 
-def test_generic_section_retry_budget():
+def test_generic_section_retry_budget(monkeypatch):
     octa_arr = from_complex(crosspolytope_boundary(3))
-    with pytest.raises(SectionError):
-        generic_hyperplane_section(octa_arr, seed=0, max_attempts=0)
+    monkeypatch.setattr(arrangements_module, "_SECTION_MAX_ATTEMPTS", 0)
+    with pytest.raises(SectionError, match="in 0 attempts"):
+        generic_hyperplane_section(octa_arr, seed=0)
 
 
 def test_derksen_sidman_bound(nonhirsch):
@@ -191,6 +192,15 @@ def test_json_round_trip_bit_exact(nonhirsch):
     data = arrangement_to_json_dict(arr)
     assert data["components"][0][0] == ["1/3", "-2/7"]
     assert arrangement_from_json_dict(data) == arr
+
+
+def test_integer_json_coefficients_stay_ints():
+    data = {"variables": 3, "components": [[[1, -2, 0]], [[0, 3, 1], [5, 0, 0]]]}
+    arr = arrangement_from_json_dict(data)
+    assert all(type(x) is int for comp in arr.components for form in comp for x in form)
+    assert arrangement_to_json_dict(arr) == data
+    coordinate = from_complex(crosspolytope_boundary(2))
+    assert all(type(x) is int for comp in coordinate.components for form in comp for x in form)
 
 
 def test_json_errors():
@@ -283,17 +293,9 @@ def test_zero_forms_are_the_zero_ideal():
 multipliers = st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(bool)
 
 
-def test_section_neither_parses_nor_converts_its_rows(monkeypatch):
-    calls = []
-    for name in ("parse_rational_vector", "integer_vector"):
-        original = getattr(arrangements_module, name)
-        monkeypatch.setattr(arrangements_module, name,
-                            lambda *a, original=original: calls.append(a) or original(*a))
+def test_section_equals_its_forms_parsed_afresh():
     arr = from_complex(crosspolytope_boundary(3))
-    calls.clear()
     sliced = generic_hyperplane_section(arr, seed=1)
-    assert calls == []
-    # the same arrangement as its forms parsed afresh
     again = SubspaceArrangement(sliced.n_vars, sliced.components)
     assert again == sliced and again.heights == sliced.heights == arr.heights
     assert dual_edge_indices(again) == dual_edge_indices(sliced) == dual_edge_indices(arr)

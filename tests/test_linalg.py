@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dualgraphs.errors import FieldError, InputError
 from dualgraphs.linalg import (
@@ -23,6 +23,7 @@ from dualgraphs.linalg import (
     rank,
     rank_gf2_columns,
     rank_int_sparse,
+    rank_mod_p_sparse,
     rref,
 )
 from oracles import gauss_rank, minor_scan_rank, rank_mod_p
@@ -72,6 +73,16 @@ def test_parse_rational_rejects_booleans():
     for bad in (True, False, 0.5):
         with pytest.raises(InputError):
             parse_rational(bad, "coefficient")
+
+
+def test_parse_rational_keeps_ints_and_makes_the_rest_fractions():
+    for x in (7, -2, 0, 10**30):
+        parsed = parse_rational(x, "coefficient")
+        assert type(parsed) is int and parsed == x
+    for x in ("3/4", Fraction(3, 4)):
+        parsed = parse_rational(x, "coefficient")
+        assert type(parsed) is Fraction and parsed == Fraction(3, 4)
+    assert type(parse_rational("6", "coefficient")) is Fraction
 
 
 @pytest.mark.parametrize("text", ["1_000", "1_0/2", "3 / 4", "3/ 4", "3 /4"])
@@ -220,6 +231,31 @@ def test_rank_q_dominates_rank_mod_p(rows, p):
     p_rank = rank(RationalMatrix(rows), prime_field(p))
     assert p_rank == rank_mod_p(rows, p)
     assert q_rank >= p_rank
+
+
+#: (p, rows): integer matrices with entries in [-2p, 2p], multiples of p included.
+_mod_p_matrix_strategy = st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.integers(1, 6).flatmap(
+            lambda nc: st.lists(
+                st.lists(st.integers(-2 * p, 2 * p), min_size=nc, max_size=nc),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+    )
+)
+
+
+@given(_mod_p_matrix_strategy)
+@example((3, [[3]]))
+@example((5, [[10, 1], [5, 2]]))
+def test_sparse_rank_mod_p_matches_oracle(case):
+    # an entry that is a multiple of p is a zero of GF(p), never a pivot
+    p, rows = case
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    assert rank_mod_p_sparse(sparse, p) == rank_mod_p(rows, p)
 
 
 @given(_matrix_strategy)
