@@ -21,6 +21,10 @@ The regularity sweep's cover rule: with U(W) the union of the minimal
 nonfaces inside a vertex set W, W is a face exactly when U(W) is empty, and
 its restriction is a cone with apex v exactly when v is in W but not in
 U(W). Both are acyclic over every field, so only a W with U(W) = W is built.
+No restriction has homology above the dimension d, so the sweep stops at
+the first W with b~_d != 0. A homology sphere K on V needs no sweep:
+Alexander duality gives b~_d(K_W) = b~_{-1}(K_{V-W}), nonzero only at W = V,
+and the witness V re-verifies, which alone proves reg = d + 1.
 
 Before any link is built, a pure complex is offered a shelling: an order
 F_1, ..., F_m of its facets in which each F_k meets F_1 u ... u F_{k-1} in
@@ -313,22 +317,31 @@ def is_normal(cx: SimplicialComplex) -> bool:
     Purely combinatorial: two facets are adjacent when they share a face of
     one dimension less -- on a pure complex, the ridge relation
     ``cx.ridge_neighbors`` -- and every star must stay connected that way.
+    Each star, a bitmask of facet indices, is the AND of its vertices'
+    stars, flooded from its lowest facet by the facets' neighbour bitmasks.
     """
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
     if not cx.is_pure:
         raise NonPureComplexError("normality requires a pure complex")
     facets = cx.facets
+    vertex_stars = [sum(1 << i for i, f in enumerate(facets) if f >> v & 1)
+                    for v in range(cx.n_vertices)]
+    around = [sum(1 << j for j in nbrs) for nbrs in cx.ridge_neighbors]
     for mask in cx.faces:
-        star = [i for i, f in enumerate(facets) if f & mask == mask]
-        seen = {star[0]}
-        stack = [star[0]]
-        while stack:
-            for j in cx.ridge_neighbors[stack.pop()]:
-                if j not in seen and facets[j] & mask == mask:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(star):
+        star = (1 << len(facets)) - 1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            star &= vertex_stars[low.bit_length() - 1]
+            rest ^= low
+        seen = frontier = star & -star
+        while frontier:
+            low = frontier & -frontier
+            reached = around[low.bit_length() - 1] & star & ~seen
+            seen |= reached
+            frontier ^= low | reached
+        if seen != star:
             return False
     return True
 
@@ -347,10 +360,12 @@ def regularity(
     them (module docstring) -- are skipped; every other restriction's
     profile is kept on ``cx``, so a second field's sweep reuses the GF(2)
     profiles. The witness is the first subset in Gray-code order attaining
-    the maximum, and it re-verifies on a freshly built restriction, apart
-    from the kept profiles. On Cohen-Macaulay input the result is
-    cross-checked against the h-polynomial degree (the Reisner sweep this
-    takes is kept on ``cx`` and shared with ``is_cohen_macaulay``).
+    the maximum; the sweep ends at the first W attaining d + 1, and a pure
+    homology sphere skips it (module docstring). The witness re-verifies on
+    a freshly built restriction, apart from the kept profiles. On
+    Cohen-Macaulay input the result is cross-checked against the
+    h-polynomial degree (the Reisner sweep this takes is kept on ``cx`` and
+    shared with ``is_cohen_macaulay``).
     """
     if cx.is_void:
         raise VoidComplexError("the void complex has no regularity")
@@ -361,9 +376,12 @@ def regularity(
             " vertices (raise max_vertices / --max-hochster-n to override)"
         )
     nonfaces = [cx.mask_of(nf) for nf in cx.minimal_nonfaces]
-    best = 0
-    best_mask = 0
+    best = best_mask = 0
+    if cx.is_pure and is_homology_sphere(cx, field):
+        best, best_mask = cx.dimension + 1, (1 << n) - 1
     for k in range(1, 1 << n):
+        if best == cx.dimension + 1:
+            break  # nothing above the dimension: no later W can do better
         w = k ^ (k >> 1)
         cover = 0
         for nf in nonfaces:

@@ -24,7 +24,15 @@ from dualgraphs.homology import (
 )
 from dualgraphs.linalg import QQ, prime_field
 from dualgraphs.reports import build_complex_report
-from oracles import bf_acyclic_by_cone, bf_boundary, bf_faces, bf_hochster_regularity, cx
+from oracles import (
+    bf_acyclic_by_cone,
+    bf_boundary,
+    bf_faces,
+    bf_hochster_regularity,
+    bf_regularity,
+    bf_reisner,
+    cx,
+)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -287,8 +295,18 @@ def test_regularity_builds_only_restrictions_with_homology(monkeypatch, facets, 
     monkeypatch.setattr(SimplicialComplex, "restrict_mask", recording_restrict_mask)
     c = cx(facets)
     cert = regularity(c, field)
-    # every W whose restriction is neither a simplex nor a cone, plus the witness
-    wanted = {w for w in range(1, 1 << c.n_vertices) if not bf_acyclic_by_cone(c, w)}
+    if c.is_pure and bf_reisner(c, field)[1]:
+        # a homology sphere: by Alexander duality only W = V has homology in
+        # degree dim, so the sweep is skipped and the witness alone is built
+        assert built == {(1 << c.n_vertices) - 1}
+        return
+    # every W whose restriction is neither a simplex nor a cone, in Gray
+    # order up to the first W with homology in degree dim, plus the witness
+    gray = [k ^ (k >> 1) for k in range(1, 1 << c.n_vertices)]
+    value, witness = bf_regularity(c, field)
+    if value == c.dimension + 1:
+        gray = gray[: gray.index(c.mask_of(witness)) + 1]
+    wanted = {w for w in gray if not bf_acyclic_by_cone(c, w)}
     assert built == wanted | {c.mask_of(cert.witness_vertices)}
 
 

@@ -1,7 +1,10 @@
 """Cross-cutting invariants, checked exhaustively at small sizes and with
 hypothesis-generated inputs above that."""
 
+import functools
 import itertools
+
+import pytest
 
 from hypothesis import given, strategies as st
 
@@ -68,6 +71,30 @@ def pure_complexes(draw, max_vertices=6, max_facets=10):
                  max_size=min(max_facets, len(all_k)), unique=True)
     )
     return SimplicialComplex.from_facets(chosen)
+
+
+@st.composite
+def spheres(draw, max_vertices=7):
+    """A PL sphere: a simplex boundary joined with further simplex
+    boundaries (a join with the 0-sphere, two points, is a suspension),
+    with facets and their vertices shuffled so that the vertex order varies."""
+    c = simplex_boundary(draw(st.integers(1, 3)))
+    while True:
+        d = draw(st.integers(0, 2))
+        if d == 0 or c.n_vertices + d + 1 > max_vertices:
+            break
+        c = c.join(simplex_boundary(d))
+    facets = [draw(st.permutations(f)) for f in draw(st.permutations(c.facet_labels()))]
+    return SimplicialComplex.from_facets(facets)
+
+
+SPHERES = {
+    **{f"crosspolytope{r}": crosspolytope_boundary(r) for r in range(1, 5)},
+    **{f"simplex_boundary{d}": simplex_boundary(d) for d in range(1, 5)},
+    **{"join" + "x".join(map(str, ds)): functools.reduce(
+        SimplicialComplex.join, map(simplex_boundary, ds))
+       for ds in [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 1, 1), (1, 1, 2), (2, 2, 2)]},
+}
 
 
 @st.composite
@@ -156,6 +183,23 @@ def test_minimal_nonfaces_roundtrip_and_oracle(c):
 def test_regularity_matches_unskipped_sweep_oracle(c, field):
     cert = regularity(c, field)
     assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
+
+
+@pytest.mark.parametrize("name", SPHERES)
+def test_sphere_regularity_matches_unskipped_sweep_oracle(name):
+    # the sweep is skipped on a homology sphere: reg = dim + 1, witness V
+    c = SPHERES[name]
+    for field in (QQ, GF2, GF3):
+        cert = regularity(c, field)
+        assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
+        assert cert.witness_vertices == c.vertices
+
+
+@given(spheres(), st.sampled_from([QQ, GF2, GF3]))
+def test_shuffled_sphere_regularity_matches_unskipped_sweep_oracle(c, field):
+    cert = regularity(c, field)
+    assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
+    assert cert.value == c.dimension + 1
 
 
 @given(complexes(max_vertices=7), st.sampled_from([QQ, GF2]))
@@ -251,3 +295,27 @@ def test_dual_adjacency_is_symmetric_difference_two(c):
 @given(pure_complexes())
 def test_is_normal_matches_star_oracle(c):
     assert is_normal(c) == bf_is_normal(c)
+
+
+#: Pure complexes with a star that falls apart: that of the empty face (the
+#: whole complex) in the first three, and that of the shared vertex too in
+#: the first two. The strip of triangles is strongly connected, but its ends
+#: meet only in vertex 1, whose star falls apart.
+NOT_NORMAL = {
+    "tetrahedra-at-a-vertex": [(1, 2, 3, 4), (4, 5, 6, 7)],
+    "triangles-at-a-vertex": [(1, 2, 3), (3, 4, 5)],
+    "disconnected": [(1, 2, 3), (2, 3, 4), (5, 6, 7)],
+    "pinched-strip": [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1)],
+}
+
+
+@pytest.mark.parametrize("name", [*NOT_NORMAL, *SPHERES])
+def test_is_normal_matches_star_oracle_on_named_complexes(name):
+    c = SPHERES[name] if name in SPHERES else SimplicialComplex.from_facets(NOT_NORMAL[name])
+    assert c.is_pure
+    assert is_normal(c) is bf_is_normal(c) is (name in SPHERES)
+
+
+@given(spheres())
+def test_shuffled_spheres_are_normal(c):
+    assert is_normal(c) and bf_is_normal(c)
