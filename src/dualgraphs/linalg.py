@@ -199,16 +199,15 @@ def _unit_elimination(sparse_rows, p: int | None = None):
 
     Shortest live row first (lazy heap), then its sparsest unit column, the
     lower index on ties. Over Z the units are +-1, their own inverses, which
-    keeps the arithmetic integral with no coefficient growth; over GF(p)
-    every entry is a unit once the multiples of p are dropped, and entries
-    are reduced on the way in only when some entry is such a multiple.
+    keeps the arithmetic integral with no coefficient growth; over GF(p) the
+    entries are reduced mod p on the way in, zeros dropped, and every one is
+    a unit.
     Returns the rank found and the live rows, none of which has a unit
     entry: none at all over GF(p).
     """
     rows: dict[int, dict[int, int]] = {}
-    reduce = p and not all(v % p for v in set().union(*(r.values() for r in sparse_rows)))
     for i, r in enumerate(sparse_rows):
-        r = {j: m for j, v in r.items() if (m := v % p)} if reduce else dict(r)
+        r = {j: m for j, v in r.items() if (m := v % p)} if p else dict(r)
         if r:
             rows[i] = r
     col_rows: dict[int, set[int]] = {}

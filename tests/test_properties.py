@@ -179,7 +179,7 @@ def test_minimal_nonfaces_roundtrip_and_oracle(c):
         assert rebuilt == c
 
 
-@given(complexes(max_vertices=8), st.sampled_from([QQ, GF2, GF3]))
+@given(st.one_of(complexes(max_vertices=8), spheres()), st.sampled_from([QQ, GF2, GF3]))
 def test_regularity_matches_unskipped_sweep_oracle(c, field):
     cert = regularity(c, field)
     assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
@@ -187,19 +187,13 @@ def test_regularity_matches_unskipped_sweep_oracle(c, field):
 
 @pytest.mark.parametrize("name", SPHERES)
 def test_sphere_regularity_matches_unskipped_sweep_oracle(name):
-    # the sweep is skipped on a homology sphere: reg = dim + 1, witness V
+    # the sweep is skipped on a homology sphere: reg = dim + 1, witness V.
+    # Over Q the oracle's Fraction elimination takes seconds at 9 vertices.
     c = SPHERES[name]
-    for field in (QQ, GF2, GF3):
+    for field in (QQ, GF2, GF3) if c.n_vertices < 9 else (GF2, GF3):
         cert = regularity(c, field)
         assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
         assert cert.witness_vertices == c.vertices
-
-
-@given(spheres(), st.sampled_from([QQ, GF2, GF3]))
-def test_shuffled_sphere_regularity_matches_unskipped_sweep_oracle(c, field):
-    cert = regularity(c, field)
-    assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
-    assert cert.value == c.dimension + 1
 
 
 @given(complexes(max_vertices=7), st.sampled_from([QQ, GF2]))
@@ -292,7 +286,7 @@ def test_dual_adjacency_is_symmetric_difference_two(c):
         assert ((i, j) in edges) == expected
 
 
-@given(pure_complexes())
+@given(st.one_of(pure_complexes(), spheres()))
 def test_is_normal_matches_star_oracle(c):
     assert is_normal(c) == bf_is_normal(c)
 
@@ -314,8 +308,3 @@ def test_is_normal_matches_star_oracle_on_named_complexes(name):
     c = SPHERES[name] if name in SPHERES else SimplicialComplex.from_facets(NOT_NORMAL[name])
     assert c.is_pure
     assert is_normal(c) is bf_is_normal(c) is (name in SPHERES)
-
-
-@given(spheres())
-def test_shuffled_spheres_are_normal(c):
-    assert is_normal(c) and bf_is_normal(c)
