@@ -12,7 +12,6 @@ _OWNERS = {
     "FieldSpec": "linalg",
     "Graph": "graphs",
     "HirschVerdict": "graphs",
-    "RationalMatrix": "linalg",
     "RegularityCertificate": "homology",
     "SimplicialComplex": "complexes",
     "contains_forbidden_line_graph": "graphs",

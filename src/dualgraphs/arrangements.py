@@ -14,7 +14,7 @@ components is not checked.
 That stacked rank is how adjacency is defined, not how it is computed. Each
 form is converted once, by the constructor, to its primitive integer row
 (``linalg.integer_vector``), and each component gets one integer kernel
-basis N_i by fraction-free Gauss-Jordan (``linalg.integer_kernel``), whose
+basis N_i by fraction-free Gauss-Jordan (``linalg.nullspace``), whose
 rank is its height h. Stacking the rows A_j of another component gives
 rank h + rank(A_j N_i), so a pair only asks whether the small image A_j N_i
 is zero (the same row space), of rank one (a dual edge) or of more
@@ -53,9 +53,9 @@ from .graphs import (
     vertex_connectivity,
 )
 from .linalg import (
-    integer_kernel,
     integer_vector,
     kernel_image,
+    nullspace,
     parse_rational_vector,
     rational_to_json,
 )
@@ -78,7 +78,7 @@ def plucker_mark(rows, g_cols, h_rows):
     """The Pluecker coordinates of the line H ker(rows G), or None unless
     that kernel is a plane on which H is injective."""
     ag = [[sum(map(mul, r, g)) for g in g_cols] for r in rows]
-    _, basis = integer_kernel(ag, len(g_cols))
+    _, basis = nullspace(ag, len(g_cols))
     if len(basis) != 2:
         return None
     x, y = ([sum(map(mul, row, u)) for row in h_rows] for u in basis)
@@ -131,7 +131,7 @@ class SubspaceArrangement:
         # component of its height whose line meets its own: the stacked
         # rank exceeds the height by the rank of the image
         for j, comp_rows in enumerate(rows):
-            h, kernel = integer_kernel(comp_rows, n_vars)
+            h, kernel = nullspace(comp_rows, n_vars)
             if h >= 2 and h not in screens:
                 screens[h] = screen_matrices(n_vars, h)
             mark = plucker_mark(comp_rows, *screens[h]) if h >= 2 else None
@@ -155,9 +155,6 @@ class SubspaceArrangement:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def component_height(self, i: int) -> int:
-        return self._heights[i]
 
     @property
     def heights(self) -> tuple[int, ...]:

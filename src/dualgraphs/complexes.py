@@ -332,14 +332,6 @@ class SimplicialComplex:
             raise NotAFaceError("mask is not a face")
         return SimplicialComplex._from_parent(self, masks, maximal=True)
 
-    def star(self, face) -> "SimplicialComplex":
-        """Smallest subcomplex containing every face that contains `face`."""
-        m = self.mask_of(face)
-        if not self.has_face_mask(m):
-            raise NotAFaceError(f"{tuple(face)!r} is not a face")
-        masks = [f for f in self.facets if f & m == m]
-        return SimplicialComplex._from_parent(self, masks, maximal=True)
-
     def restrict(self, subset) -> "SimplicialComplex":
         """Induced subcomplex on a subset of the vertices."""
         m = self.mask_of(subset)

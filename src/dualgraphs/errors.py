@@ -56,7 +56,7 @@ class EmptyGraphError(DualGraphsError):
 
 
 class FieldError(DualGraphsError):
-    """Invalid coefficient field, or an entry not reducible modulo p."""
+    """Invalid coefficient field."""
 
 
 class NotUnmixedError(DualGraphsError):

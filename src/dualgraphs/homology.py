@@ -10,12 +10,13 @@ projective plane separates Q from GF(2)).
 
 Betti profiles come from boundary ranks. Over GF(2) each boundary column is
 packed into a Python int, one bit per lower face, and the columns are
-reduced by XOR (``linalg.rank_gf2_columns``); odd primes use sparse
-elimination mod p. A Q profile is read off the GF(2) profile whenever that
-has at most one nonzero entry: by universal coefficients
-b~_i(Q) <= b~_i(GF(2)) for every i, and both profiles alternate-sum to the
-reduced Euler characteristic. Otherwise -- 2-torsion may be present, as in
-the projective plane -- the Q ranks are computed exactly over the integers.
+reduced by XOR (``linalg.rank_gf2_columns``); every other field ranks
+sparse integer rows through ``linalg.rank``. A Q profile is read off the
+GF(2) profile whenever that has at most one nonzero entry: by universal
+coefficients b~_i(Q) <= b~_i(GF(2)) for every i, and both profiles
+alternate-sum to the reduced Euler characteristic. Otherwise -- 2-torsion
+may be present, as in the projective plane -- the Q ranks are computed
+exactly over the integers.
 
 The regularity sweep's cover rule: with U(W) the union of the minimal
 nonfaces inside a vertex set W, W is a face exactly when U(W) is empty, and
@@ -59,13 +60,7 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex
 from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, NonPureComplexError, ResourceCapError
 from .errors import VoidComplexError
-from .linalg import (
-    QQ,
-    FieldSpec,
-    rank_gf2_columns,
-    rank_int_sparse,
-    rank_mod_p_sparse,
-)
+from .linalg import QQ, FieldSpec, rank, rank_gf2_columns
 
 #: GF(2): every Betti profile over Q is first computed over it.
 GF2 = FieldSpec(2)
@@ -137,11 +132,7 @@ def _ranks_profile(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     else:
         groups = cx.faces_by_card
         for card in range(1, top + 1):
-            rows = _boundary_sparse(cx, card)
-            if field.is_rationals:
-                ranks[card] = rank_int_sparse(rows)
-            else:
-                ranks[card] = rank_mod_p_sparse(rows, field.p)
+            ranks[card] = rank(_boundary_sparse(cx, card), field)
     return tuple(len(groups[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 

@@ -1,16 +1,22 @@
 """Exact linear algebra over Q and GF(p).
 
 Ranks and nullities drive every height, homology, and incidence computation
-in this package, so everything here is exact: arbitrary-precision integers
-and fractions, no floats. Over Q each row becomes its primitive integer
-multiple through ``integer_vector`` (dense) or ``integer_row`` (sparse).
-One sparse elimination, ``_unit_elimination``, serves Z and GF(p): it
-pivots on units, shortest live row first, then sparsest column. Over Z the
-units are +-1, so it removes the bulk of the rank without coefficient
-growth, and ``rank_int_sparse`` ranks the small dense remainder with
-``integer_kernel``, the one fraction-free elimination. Over GF(p) every
-nonzero entry is a unit, so nothing remains. GF(p) reduces entries mod p,
-never via ``integer_row``: dividing by the gcd can change the rank mod p,
+in this package, so everything here is exact: arbitrary-precision integers,
+no floats. Rationals appear only at the input boundary, where
+``integer_vector`` turns each rational vector into its primitive integer
+multiple; every matrix below has integer entries.
+
+There is one dense elimination, ``rref``: fraction-free Gauss-Jordan over
+Z. ``nullspace`` reads the rank and an integer kernel basis off it, and
+``bareiss_rank`` is that rank. Sparse integer rows are ranked through
+``rank(rows, field)``, which sends Q to ``rank_int_sparse`` and GF(p) to
+``rank_mod_p_sparse``. Both run one sparse elimination,
+``_unit_elimination``: it pivots on units, shortest live row first, then
+sparsest column. Over Z the units are +-1, so it removes the bulk of the
+rank without coefficient growth, and ``rank_int_sparse`` ranks the small
+dense remainder with ``bareiss_rank``. Over GF(p) every nonzero entry is a
+unit, so nothing remains. GF(p) reduces the given entries mod p and never
+makes a row primitive first: dividing by the gcd can change the rank mod p,
 (p, 2p) becoming (1, 2). GF(2) keeps its own reduction, of columns packed
 into ints by XOR (``rank_gf2_columns``): a column operation is then one int
 XOR, not a dict update per entry, and ``homology`` computes every Betti
@@ -18,11 +24,11 @@ profile over Q first over GF(2).
 
 The geometry modules ask rank questions about pairs: is the rank of A
 stacked on B equal to rank A, rank A + 1, or more? That rank is
-rank A + rank(B N) for any basis N of the kernel of A. So ``integer_kernel``
-computes rank A and an integer N once per A, by fraction-free Gauss-Jordan,
-and ``kernel_image`` answers each pair by a rank-one test on the small image
-B N, stopping at the first image row not proportional to the first nonzero
-one. No stacked matrix is ranked.
+rank A + rank(B N) for any basis N of the kernel of A. So ``nullspace``
+computes rank A and an integer N once per A, and ``kernel_image`` answers
+each pair by a rank-one test on the small image B N, stopping at the first
+image row not proportional to the first nonzero one. No stacked matrix is
+ranked.
 
 All functions are pure and deterministic: pivots are chosen by a fixed rule,
 never randomly.
@@ -139,34 +145,6 @@ def rational_to_json(x: Fraction):
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class RationalMatrix:
-    """Immutable dense matrix with exact rational entries (int or Fraction)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries, cols: int | None = None):
-        rows = [tuple(row) for row in entries]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        else:
-            cols = 0 if cols is None else cols
-        for r in rows:
-            for x in r:
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError(f"entry {x!r} is not an exact rational")
-        self.rows = len(rows)
-        self.cols = cols
-        self.entries = tuple(rows)
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-
 def integer_vector(vec) -> tuple[int, ...]:
     """The primitive integer multiple of a rational vector, as a dense tuple.
 
@@ -182,16 +160,6 @@ def integer_vector(vec) -> tuple[int, ...]:
     ints = [x.numerator if scale == 1 else x.numerator * (scale // x.denominator) for x in vec]
     g = gcd(*ints) or 1
     return tuple(ints) if g == 1 else tuple(v // g for v in ints)
-
-
-def integer_row(vec) -> dict[int, int]:
-    """``integer_vector(vec)`` as a sparse row: its nonzero entries by index."""
-    return {j: v for j, v in enumerate(integer_vector(vec)) if v}
-
-
-def bareiss_rank(rows) -> int:
-    """Rank of dense integer rows: the rank that ``integer_kernel`` returns."""
-    return integer_kernel(rows, len(rows[0]) if rows else 0)[0]
 
 
 def _unit_elimination(sparse_rows, p: int | None = None):
@@ -261,9 +229,9 @@ def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
     """Rank over Q of an integer matrix given as sparse rows.
 
     ``_unit_elimination`` removes the +-1 pivots; whatever ends up
-    unit-free is ranked densely by ``integer_kernel`` (through
-    ``bareiss_rank``). Any prefix of exact row eliminations preserves the
-    rank, so the split is a pure optimization.
+    unit-free is ranked densely by ``bareiss_rank``. Any prefix of exact
+    row eliminations preserves the rank, so the split is a pure
+    optimization.
     """
     rank, rows = _unit_elimination(sparse_rows)
     if rows:
@@ -279,18 +247,15 @@ def rank_int_sparse(sparse_rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def integer_kernel(rows, width: int):
-    """Rank and an integer basis of the right kernel of dense integer rows.
+def rref(rows, width: int):
+    """Fraction-free reduced row echelon form of dense integer rows.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): pivot k, the
-    first nonzero entry of column c among the rows not yet used, updates
-    every other row to (p_k * row - row[c] * top) / p_{k-1}, with p_0 = 1.
-    Every entry stays a minor of the input, so every division is exact, and
-    at the end each pivot row holds the last pivot d in its pivot column and
-    zero in the others. The basis has one vector per free column f: d at f,
-    minus the row entries at f in the pivot columns, divided by its gcd and
-    signed so that the entry at f is positive. Each vector is re-verified to
-    annihilate every input row.
+    Gauss-Jordan elimination after Bareiss (1968): pivot k, the first
+    nonzero entry of column c among the rows not yet used, updates every
+    other row to (p_k * row - row[c] * top) / p_{k-1}, with p_0 = 1. Every
+    entry stays a minor of the input, so every division is exact. Returns
+    the pivot rows, their pivot columns and the last pivot d: at the end
+    each pivot row holds d in its own pivot column and zero in the others.
     """
     m = [list(r) for r in rows if any(r)]
     pivots = []
@@ -312,15 +277,27 @@ def integer_kernel(rows, width: int):
             m[i] = [(x * p - f * t) // prev for x, t in zip(row, top)]
         pivots.append(c)
         prev = p
+    return m[: len(pivots)], pivots, prev
+
+
+def nullspace(rows, width: int):
+    """Rank and an integer basis of the right kernel of dense integer rows.
+
+    Read off ``rref``: one vector per free column f, with the last pivot d
+    at f and minus the row entries at f in the pivot columns, divided by its
+    gcd and signed so that the entry at f is positive. Each vector is
+    re-verified to annihilate every input row.
+    """
+    reduced, pivots, d = rref(rows, width)
     pivot_set = set(pivots)
-    sign = 1 if prev > 0 else -1
+    sign = 1 if d > 0 else -1
     basis = []
     for f in range(width):
         if f in pivot_set:
             continue
         vec = [0] * width
-        vec[f] = prev
-        for row, c in zip(m, pivots):
+        vec[f] = d
+        for row, c in zip(reduced, pivots):
             vec[c] = -row[f]
         g = gcd(*vec) * sign
         vec = tuple(x // g for x in vec)
@@ -328,6 +305,11 @@ def integer_kernel(rows, width: int):
             raise AssertionError("integer kernel vector does not annihilate the rows")
         basis.append(vec)
     return len(pivots), basis
+
+
+def bareiss_rank(rows) -> int:
+    """Rank of dense integer rows: the rank that ``nullspace`` returns."""
+    return nullspace(rows, len(rows[0]) if rows else 0)[0]
 
 
 def kernel_image(rows, basis) -> tuple[int, list[list[int]]]:
@@ -355,27 +337,17 @@ def kernel_image(rows, basis) -> tuple[int, list[list[int]]]:
     return (0 if lead is None else 1), image
 
 
-def _mod_p_rows(matrix: RationalMatrix, p: int) -> list[dict[int, int]]:
-    out = []
-    for row in matrix.entries:
-        sp = {}
-        for j, x in enumerate(row):
-            den = x.denominator
-            if den % p == 0:
-                raise FieldError(
-                    f"cannot reduce {x} mod {p}: {p} divides the denominator"
-                )
-            v = (x.numerator % p) * pow(den % p, -1, p) % p
-            if v:
-                sp[j] = v
-        out.append(sp)
-    return out
-
-
 def rank_mod_p_sparse(sparse_rows: list[dict[int, int]], p: int) -> int:
     """Rank over GF(p) of an integer matrix given as sparse rows: the rank
     ``_unit_elimination`` finds, since every nonzero entry mod p is a unit."""
     return _unit_elimination(sparse_rows, p)[0]
+
+
+def rank(sparse_rows: list[dict[int, int]], field: FieldSpec = QQ) -> int:
+    """Rank over ``field`` of an integer matrix given as sparse rows."""
+    if field.is_rationals:
+        return rank_int_sparse(sparse_rows)
+    return rank_mod_p_sparse(sparse_rows, field.p)
 
 
 def rank_gf2_columns(columns) -> int:
@@ -397,55 +369,3 @@ def rank_gf2_columns(columns) -> int:
                 break
             col ^= kept
     return len(pivots)
-
-
-def rank(matrix: RationalMatrix, field: FieldSpec = QQ) -> int:
-    """Rank of the matrix over the given field."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    if field.is_rationals:
-        return rank_int_sparse([integer_row(row) for row in matrix.entries])
-    return rank_mod_p_sparse(_mod_p_rows(matrix, field.p), field.p)
-
-
-def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over Q, with the pivot column indices."""
-    m = [[Fraction(x) for x in row] for row in matrix.entries]
-    nr, nc = matrix.rows, matrix.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return RationalMatrix(m, cols=nc), tuple(pivots)
-
-
-def nullspace(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational kernel (one vector per free column)."""
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * matrix.cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -Fraction(reduced.entries[r][fc])
-        basis.append(tuple(vec))
-    return basis

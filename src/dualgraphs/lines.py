@@ -8,7 +8,7 @@ intersection of the two row spans; this works in any ambient dimension.
 That rank is the definition; it is computed per line, not per pair. Each
 spanning point is converted once, when its line is built, to its primitive
 integer row, and the line gets one integer basis N of the kernel of its two
-rows (``linalg.integer_kernel``), which also checks that they span a line.
+rows (``linalg.nullspace``), which also checks that they span a line.
 The four points of a pair have rank 2 + rank of the image (a, b) of the
 other line's rows p', q' under N (``linalg.kernel_image``): image zero, the
 lines coincide; rank one, they meet; rank two, they are skew. A rank-one
@@ -17,7 +17,8 @@ with (a_k, b_k) nonzero lies in the row span of both lines.
 
 Intersection points are canonicalized to primitive integer vectors with a
 positive leading coordinate, which turns triple-point detection into set
-membership.
+membership. An arrangement finds all of them once, when it is built: its
+constructor runs ``intersects`` on every pair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 from .errors import HypothesisError, InputError
 from .graphs import CanonicalGraphCheck, Graph, HirschVerdict, check_canonical_graph, diameter
 from .graphs import edge_connectivity
-from .linalg import integer_kernel, integer_vector, kernel_image, parse_rational_vector
+from .linalg import integer_vector, kernel_image, nullspace, parse_rational_vector
 from .linalg import rational_to_json
 
 
@@ -50,7 +51,7 @@ class ProjectiveLine(namedtuple("ProjectiveLine", "ambient_dim p q rows kernel")
             if len(vec) != ambient_dim + 1:
                 raise InputError(f"point needs {ambient_dim + 1} homogeneous coordinates")
         rows = (integer_vector(p), integer_vector(q))
-        span, kernel = integer_kernel(rows, ambient_dim + 1)
+        span, kernel = nullspace(rows, ambient_dim + 1)
         if span != 2:
             raise InputError("the two points do not span a line")
         return super().__new__(cls, ambient_dim, p, q, rows, kernel)
@@ -85,16 +86,7 @@ def canonical_point(vec) -> tuple[int, ...]:
     return tuple(-x for x in row) if lead < 0 else row
 
 
-def _point_from_image(line: ProjectiveLine, image) -> tuple[int, ...]:
-    """Canonical point where ``line`` meets the line whose kernel maps its
-    spanning rows p, q to the rank-one image (a, b): b_k p - a_k q for the
-    first k with (a_k, b_k) nonzero, since b_k a - a_k b is zero."""
-    a, b = image
-    k = next(k for k in range(len(a)) if a[k] or b[k])
-    p, q = line.rows
-    return canonical_point(tuple(b[k] * x - a[k] * y for x, y in zip(p, q)))
-
-
+# No caller in the package; perfbench/trace_child.py wraps it by name.
 def same_line(l1: ProjectiveLine, l2: ProjectiveLine) -> bool:
     return kernel_image(l2.rows, l1.kernel)[0] == 0
 
@@ -103,8 +95,9 @@ def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
     """Canonical intersection point of two distinct lines, or None.
 
     The lines meet exactly when the stacked 4 x (N+1) matrix of spanning
-    points has rank 3, that is when l1's kernel maps l2's spanning points
-    to an image of rank one.
+    points has rank 3, that is when l1's kernel maps l2's spanning rows
+    p, q to an image (a, b) of rank one. The point is then b_k p - a_k q
+    for the first k with (a_k, b_k) nonzero, since b_k a - a_k b is zero.
     """
     if l1.ambient_dim != l2.ambient_dim:
         raise InputError("lines live in different ambient spaces")
@@ -113,17 +106,19 @@ def intersects(l1: ProjectiveLine, l2: ProjectiveLine):
         raise InputError("identical lines have no single intersection point")
     if r == 2:
         return None
-    return _point_from_image(l2, image)
+    a, b = image
+    k = next(k for k in range(len(a)) if a[k] or b[k])
+    p, q = l2.rows
+    return canonical_point(tuple(b[k] * x - a[k] * y for x, y in zip(p, q)))
 
 
 class LineArrangement:
     """Finitely many pairwise distinct lines in a common P^N (N >= 2).
 
-    The constructor runs each pair's kernel test once, which both rejects
-    coinciding lines and finds the pairs that meet, and keeps the rank-one
-    image of each meeting pair. The arrangement never changes, so its
-    meeting points and its dual graph are computed on first use and kept on
-    the instance.
+    The constructor runs ``intersects`` once per pair, which both rejects
+    coinciding lines and finds the meeting points, and keeps those points.
+    The arrangement never changes, so its dual graph is computed on first
+    use and kept on the instance.
     """
 
     def __init__(self, ambient_dim: int, lines):
@@ -138,17 +133,15 @@ class LineArrangement:
                 raise InputError("all lines must share the ambient dimension")
         if not self.lines:
             raise InputError("arrangement needs at least one line")
-        # one kernel test per pair: an image of rank 0 means the lines
-        # coincide, 1 that they meet in a point, 2 that they are skew
-        self._meeting = []
-        for i in range(len(self.lines)):
+        self._intersections = {}
+        for i, l1 in enumerate(self.lines):
             for j in range(i + 1, len(self.lines)):
-                r, image = kernel_image(self.lines[j].rows, self.lines[i].kernel)
-                if r == 0:
-                    raise InputError(f"lines {i + 1} and {j + 1} coincide")
-                if r == 1:
-                    self._meeting.append((i, j, image))
-        self._intersections = None
+                try:
+                    point = intersects(l1, self.lines[j])
+                except InputError:  # the ambient dimensions agree: the lines coincide
+                    raise InputError(f"lines {i + 1} and {j + 1} coincide") from None
+                if point is not None:
+                    self._intersections[(i, j)] = point
         self._dual_graph = None
 
     @property
@@ -157,11 +150,6 @@ class LineArrangement:
 
     def intersection_pairs(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """All meeting index pairs with their canonical points."""
-        if self._intersections is None:
-            self._intersections = {
-                (i, j): _point_from_image(self.lines[j], image)
-                for i, j, image in self._meeting
-            }
         return self._intersections
 
 

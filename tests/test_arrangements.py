@@ -51,7 +51,6 @@ def nonhirsch():
 
 def test_component_heights(nonhirsch):
     assert nonhirsch.heights == (2, 2, 2, 2)
-    assert nonhirsch.component_height(3) == 2
     assert nonhirsch.is_unmixed()
     assert nonhirsch.common_height() == 2
     mixed = SubspaceArrangement(4, [[_e(0)], [_e(0), _e(1)]])

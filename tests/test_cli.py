@@ -185,6 +185,17 @@ def test_analyze_lines_all_three(capsys):
     assert "not_canonically_embeddable" in out
 
 
+def test_analyze_lines_coinciding_lines_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "coincide.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "lines": [
+        {"points": [[1, 0, 0], [0, 1, 0]]},
+        {"points": [[2, 0, 0], [1, 1, 0]]},
+        {"points": [[0, 0, 1], [1, 0, 0]]},
+    ]}))
+    code, out, err = run(capsys, "analyze-lines", str(path))
+    assert (code, out, err) == (1, "", "error: lines 1 and 2 coincide\n")
+
+
 def test_check_graph_forbidden(capsys, tmp_path):
     path = tmp_path / "f6.graph"
     run(capsys, "generate", "forbidden6", "--out", str(path))

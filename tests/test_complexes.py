@@ -102,14 +102,11 @@ def test_flag_pure_height():
         cx([{1, 2, 3}, {4, 5}]).height()
 
 
-def test_link_star_restrict():
+def test_link_and_restrict():
     octa = crosspolytope_boundary(3)
     link1 = octa.link(["1"])
     assert link1.n_facets == 4 and link1.dimension == 1
     assert link1.f_vector == (1, 4, 4)  # a 4-cycle
-    star = octa.star(["1"])
-    m = star.mask_of(["1"])
-    assert all(f & m == m for f in star.facets)
     induced = octa.restrict(["1", "2"])
     assert induced.facet_labels() == (("1",), ("2",))
     with pytest.raises(NotAFaceError):

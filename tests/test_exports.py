@@ -7,7 +7,7 @@ import pytest
 import dualgraphs
 
 EXPORTS = [
-    "QQ", "BettiProfile", "FieldSpec", "Graph", "HirschVerdict", "RationalMatrix",
+    "QQ", "BettiProfile", "FieldSpec", "Graph", "HirschVerdict",
     "RegularityCertificate", "SimplicialComplex", "contains_forbidden_line_graph",
     "crosspolytope_boundary", "diameter", "dual_graph", "edge_connectivity", "full_simplex",
     "generate_complex", "generate_graph", "hirsch_verdict", "is_cohen_macaulay",

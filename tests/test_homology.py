@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from dualgraphs import homology
+from dualgraphs import homology, linalg
 from dualgraphs.complexes import (
     SimplicialComplex,
     crosspolytope_boundary,
@@ -191,8 +191,8 @@ def test_sphere_implies_gorenstein_implies_cm(rp2):
 
 def _count_exact_q_ranks(monkeypatch) -> list:
     calls = []
-    exact = homology.rank_int_sparse
-    monkeypatch.setattr(homology, "rank_int_sparse",
+    exact = linalg.rank_int_sparse
+    monkeypatch.setattr(linalg, "rank_int_sparse",
                         lambda rows: calls.append(len(rows)) or exact(rows))
     return calls
 

@@ -314,12 +314,12 @@ def test_each_spanning_point_is_converted_once(monkeypatch):
 
     monkeypatch.setattr(lines_module, "integer_vector", counting)
     arr = grid_lines()
-    assert len(calls) == 2 * arr.n_lines
-    # each meeting point is made primitive once, by canonical_point
-    pairs = arr.intersection_pairs()
+    # each meeting point is made primitive once, by canonical_point, when
+    # the arrangement is built
+    assert len(calls) == 2 * arr.n_lines + len(arr.intersection_pairs()) == 12 + 9
     dual_graph(arr)
     canonical_hirsch_verdict(arr)
-    assert len(calls) == 2 * arr.n_lines + len(pairs) == 12 + 9
+    assert len(calls) == 12 + 9
 
 
 def _primitive_and_positive(pt):
@@ -364,19 +364,23 @@ def test_line_pairs_match_the_rank_oracle(line_data):
 
 def test_each_line_gets_one_kernel(monkeypatch):
     lines = grid_lines().lines
-    kernels, forbidden = [], []
-    kernel = lines_module.integer_kernel
-    monkeypatch.setattr(lines_module, "integer_kernel",
+    kernels, pairs, forbidden = [], [], []
+    kernel, meet = lines_module.nullspace, lines_module.intersects
+    monkeypatch.setattr(lines_module, "nullspace",
                         lambda rows, width: kernels.append(len(rows)) or kernel(rows, width))
+    monkeypatch.setattr(lines_module, "intersects",
+                        lambda l1, l2: pairs.append((l1, l2)) or meet(l1, l2))
     # lines imports neither; patched in linalg, they would see calls from there
-    assert not hasattr(lines_module, "rank_int_sparse") and not hasattr(lines_module, "nullspace")
-    for name in ("rank_int_sparse", "nullspace"):
+    assert not hasattr(lines_module, "rank_int_sparse") and not hasattr(lines_module, "rank")
+    for name in ("rank_int_sparse", "rank"):
         monkeypatch.setattr(linalg_module, name, lambda *a, name=name: forbidden.append(name))
     arr = LineArrangement(3, [ProjectiveLine(3, ln.p, ln.q) for ln in lines])
     assert kernels == [2] * 6
+    assert len(pairs) == math.comb(6, 2)
     arr.intersection_pairs()
     dual_graph(arr)
     canonical_hirsch_verdict(arr)
-    # the meeting points come from the images the pair tests kept
+    # the meeting points were all found when the arrangement was built
     assert kernels == [2] * 6
+    assert len(pairs) == math.comb(6, 2)
     assert forbidden == []
