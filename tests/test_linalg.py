@@ -158,6 +158,20 @@ def test_bareiss_scales_rows_with_a_zero_below_the_first_pivot(rows, expected):
     assert rank(_sparse(rows)) == expected
 
 
+def test_integer_row():
+    # the primitive integer vector as the sparse row that ``rank`` takes
+    def row(vec):
+        return _sparse([integer_vector(vec)])[0]
+
+    assert row((Fraction(1, 2), Fraction(-1, 3), 0)) == {0: 3, 1: -2}
+    assert row((-2, 4, -6)) == {0: -1, 1: 2, 2: -3}
+    assert row((0, Fraction(6, 5), Fraction(-9, 10))) == {1: 4, 2: -3}
+    assert row((0, 0)) == {}
+    assert row(()) == {}
+    with pytest.raises(TypeError):
+        row((1, 0.5))
+
+
 def test_integer_vector():
     assert integer_vector((Fraction(1, 2), Fraction(-1, 3), 0)) == (3, -2, 0)
     assert integer_vector((-2, 4, -6)) == (-1, 2, -3)
@@ -168,16 +182,22 @@ def test_integer_vector():
         integer_vector((1, 0.5))
 
 
-def test_rref_and_nullspace():
-    assert rref([[1, 2, 3], [2, 4, 6]], 3) == ([[1, 2, 3]], [0], 1)
-    # each pivot row holds the last pivot d in its own pivot column
-    assert rref([[2, 4, 1], [1, -1, 0]], 3) == ([[-6, 0, -1], [0, -6, -1]], [0, 1], -6)
+def test_integer_kernel_small_cases():
     assert nullspace([[1, 2, 3], [2, 4, 6]], 3) == (1, [(-2, 1, 0), (-3, 0, 1)])
     assert nullspace([], 2) == (0, [(1, 0), (0, 1)])
     assert nullspace([[0, 0]], 2) == (0, [(1, 0), (0, 1)])
     assert nullspace([[2, 0], [0, 3]], 2) == (2, [])
     # the last pivot is -6; the vector is primitive, positive at the free column
     assert nullspace([[2, 4, 1], [1, -1, 0]], 3) == (2, [(-1, -1, 6)])
+
+
+def test_rref_and_nullspace():
+    assert rref([[1, 2, 3], [2, 4, 6]], 3) == ([[1, 2, 3]], [0], 1)
+    # each pivot row holds the last pivot d in its own pivot column
+    assert rref([[2, 4, 1], [1, -1, 0]], 3) == ([[-6, 0, -1], [0, -6, -1]], [0, 1], -6)
+    # nullspace reads its rank and basis off the same elimination
+    assert nullspace([[1, 2, 3], [2, 4, 6]], 3)[1] == [(-2, 1, 0), (-3, 0, 1)]
+    assert nullspace([[2, 4, 1], [1, -1, 0]], 3)[0] == 2
 
 
 _matrix_strategy = st.integers(1, 5).flatmap(
