@@ -6,6 +6,10 @@ graphs that model canonical curves, non-revisiting dual paths, the 6-vertex
 forbidden induced pattern for line-arrangement dual graphs, and the named
 graph families used throughout the suite.
 
+A graph keeps one adjacency, a bitmask per vertex (``Graph.adj``). Every
+algorithm here runs on these masks and on vertex indices; labels are used
+only for input and output.
+
 Both connectivities run one max-flow routine (Dinic blocking flows) on a
 residual network built once per graph, pair after pair, and report the
 first least pair with the source side of its flow as the cut, re-verified.
@@ -26,7 +30,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from bisect import bisect_left
 from collections import deque
 from math import comb, inf
 from typing import NamedTuple
@@ -55,45 +58,70 @@ def _kept_on_graph(compute):
     return invariant
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _spread(adj, frontier: int) -> int:
+    """The neighbours of the vertices in ``frontier``, as one mask."""
+    out = 0  # the loop of _bits, inlined: every flood and BFS level runs here
+    while frontier:
+        low = frontier & -frontier
+        out |= adj[low.bit_length() - 1]
+        frontier ^= low
+    return out
+
+
+def reach(adj, start: int, alive: int) -> int:
+    """The vertices that paths inside ``alive`` reach from ``start``, as a
+    mask; ``adj[i]`` is the neighbour mask of vertex i and ``start`` is a
+    mask of vertices of ``alive``."""
+    seen = frontier = start
+    while frontier := _spread(adj, frontier) & alive & ~seen:
+        seen |= frontier
+    return seen
+
+
+def _pairs(adj):
+    """The edges (i, j), i < j, of the neighbour masks ``adj`` in index order."""
+    return [(i, j) for i, mask in enumerate(adj) for j in _bits(mask) if j > i]
+
+
 class Graph:
-    """Simple graph: ordered vertex labels, symmetric edge set, no loops."""
+    """Simple graph: ordered vertex labels, symmetric edge set, no loops.
+
+    The adjacency is a mask per vertex: bit j of ``adj[i]`` is set when
+    vertices i and j are adjacent. Labels are used only for input (the
+    constructor) and output (``edges``, ``neighbors``, cuts, witnesses).
+    """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise InputError("duplicate vertex labels")
-        adj: dict = {v: set() for v in self.vertices}
-        normalized = set()
+        adj = [0] * len(self.vertices)
         for u, v in edges:
             if u == v:
                 raise InputError(f"loop at {u!r} not allowed")
             if u not in self._index or v not in self._index:
                 raise InputError(f"edge ({u!r}, {v!r}) uses an unlisted vertex")
-            a, b = sorted((u, v), key=self._index.__getitem__)
-            normalized.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self.edges = tuple(
-            sorted(normalized, key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        )
+            i, j = self._index[u], self._index[v]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        self.adj = tuple(adj)
+        self.edges = tuple((self.vertices[i], self.vertices[j]) for i, j in _pairs(adj))
         self._invariants: dict = {}
 
     @classmethod
     def from_edges(cls, edges, isolated=()) -> "Graph":
-        seen: list = []
-        index: dict = {}
-        for u, v in edges:
-            for w in (u, v):
-                if w not in index:
-                    index[w] = len(seen)
-                    seen.append(w)
-        for w in isolated:
-            if w not in index:
-                index[w] = len(seen)
-                seen.append(w)
-        return cls(seen, edges)
+        """Vertices in order of first appearance: in the edges, then isolated."""
+        edges = list(edges)
+        return cls(dict.fromkeys([w for e in edges for w in e] + list(isolated)), edges)
 
     @property
     def n(self) -> int:
@@ -104,85 +132,52 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v):
-        return sorted(self._adj[v], key=self._index.__getitem__)
+        return [self.vertices[j] for j in _bits(self.adj[self._index[v]])]
 
     def degree(self, v) -> int:
-        return len(self._adj[v])
+        return self.adj[self._index[v]].bit_count()
 
     def min_degree(self) -> int:
         if not self.vertices:
             raise EmptyGraphError("empty graph")
-        return min(len(ns) for ns in self._adj.values())
+        return min(mask.bit_count() for mask in self.adj)
 
     def has_edge(self, u, v) -> bool:
-        return v in self._adj.get(u, frozenset())
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and bool(self.adj[i] >> j & 1)
 
     def is_complete(self) -> bool:
-        return all(len(self._adj[v]) == self.n - 1 for v in self.vertices)
-
-    def without_vertices(self, drop) -> "Graph":
-        drop = set(drop)
-        vertices = [v for v in self.vertices if v not in drop]
-        edges = [e for e in self.edges if e[0] not in drop and e[1] not in drop]
-        return Graph(vertices, edges)
-
-    def without_edges(self, drop) -> "Graph":
-        dropped = {frozenset(e) for e in drop}
-        edges = [e for e in self.edges if frozenset(e) not in dropped]
-        return Graph(self.vertices, edges)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and set(self.edges) == set(other.edges)
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, frozenset(self.edges)))
+        return all(mask.bit_count() == self.n - 1 for mask in self.adj)
 
     def __repr__(self):
         return f"Graph({self.n} vertices, {self.m} edges)"
-
-    # -- adjacency in index form, used by the algorithms below --------------
-
-    @functools.cached_property
-    def _adj_lists(self) -> list[list[int]]:
-        idx = self._index
-        return [sorted(idx[u] for u in self._adj[v]) for v in self.vertices]
-
-
-def bfs_distances(g: Graph, source) -> dict:
-    """Distances from source; unreachable vertices are absent."""
-    adj = g._adj
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         raise EmptyGraphError("empty graph")
-    return len(bfs_distances(g, g.vertices[0])) == g.n
+    return reach(g.adj, 1, (1 << g.n) - 1).bit_count() == g.n
 
 
 @_kept_on_graph
 def diameter(g: Graph) -> int | float:
-    """Largest BFS eccentricity; infinity when disconnected, 0 for K1."""
+    """Largest BFS eccentricity; infinity when disconnected, 0 for K1.
+
+    Each BFS runs level by level on masks: the next level is the union of
+    the neighbour masks of the current one, less the vertices seen.
+    """
     if g.n == 0:
         raise EmptyGraphError("the empty graph has no diameter")
     best = 0
-    for v in g.vertices:
-        dist = bfs_distances(g, v)
-        if len(dist) != g.n:
+    for s in range(g.n):
+        seen = frontier = 1 << s
+        eccentricity = 0
+        while frontier := _spread(g.adj, frontier) & ~seen:
+            seen |= frontier
+            eccentricity += 1
+        if seen.bit_count() != g.n:
             return inf
-        best = max(best, max(dist.values()))
+        best = max(best, eccentricity)
     return best
 
 
@@ -282,15 +277,15 @@ def _least_flow(n_nodes: int, arcs, pairs, floor: int = 0):
                     current[u] += 1
         if value < limit:
             # the final residual search from s, which misses t
-            reach = {s}
+            side = {s}
             queue = [s]
             for u in queue:
                 for a in out[u]:
                     v = head[a]
-                    if cap[a] and v not in reach:
-                        reach.add(v)
+                    if cap[a] and v not in side:
+                        side.add(v)
                         queue.append(v)
-            best = value, reach
+            best = value, side
     return best
 
 
@@ -315,33 +310,29 @@ def vertex_connectivity(g: Graph):
         raise EmptyGraphError("vertex connectivity needs at least 2 vertices")
     if g.is_complete():
         return g.n - 1, None
-    idx = g._index
-    v = min(g.vertices, key=lambda u: (g.degree(u), idx[u]))
-    pairs = [(v, u) for u in g.vertices if u != v and not g.has_edge(u, v)]
-    pairs += [(a, b) for a, b in itertools.combinations(g.neighbors(v), 2)
-              if not g.has_edge(a, b)]
+    adj = g.adj
+    v = min(range(g.n), key=lambda u: adj[u].bit_count())
+    pairs = [(v, u) for u in range(g.n) if u != v and not adj[v] >> u & 1]
+    pairs += [(a, b) for a, b in itertools.combinations(_bits(adj[v]), 2)
+              if not adj[a] >> b & 1]
     big = g.n + 1
-    adj = g._adj_lists
     arcs = [(2 * w, 2 * w + 1, 1, 0) for w in range(g.n)]
-    arcs += [(2 * i + 1, 2 * j, big, 0) for i, ns in enumerate(adj) for j in ns]
-    first = list(itertools.accumulate(map(len, adj), initial=g.n))
+    arcs += [(2 * i + 1, 2 * j, big, 0) for i, mask in enumerate(adj) for j in _bits(mask)]
+    first = list(itertools.accumulate((mask.bit_count() for mask in adj), initial=g.n))
 
-    def into(i, j):  # the arc i_out -> j_in; i's arcs follow its sorted neighbours
-        return 2 * (first[i] + bisect_left(adj[i], j))
+    def into(i, j):  # the arc i_out -> j_in; i's arcs follow its neighbours in order
+        return 2 * (first[i] + (adj[i] & ((1 << j) - 1)).bit_count())
 
     def seeded(s, t):
-        i, j = idx[s], idx[t]
-        common = (idx[w] for w in g._adj[s] & g._adj[t])
-        return 2 * i + 1, 2 * j, [(into(i, k), 2 * k, into(k, j)) for k in common]
+        common = _bits(adj[s] & adj[t])
+        return 2 * s + 1, 2 * t, [(into(s, k), 2 * k, into(k, t)) for k in common]
 
-    best, reach = _least_flow(2 * g.n, arcs, itertools.starmap(seeded, pairs))
-    cut_labels = tuple(
-        w for i, w in enumerate(g.vertices) if 2 * i in reach and 2 * i + 1 not in reach
-    )
-    remaining = g.without_vertices(cut_labels)
-    if remaining.n and is_connected(remaining):
+    best, flow_side = _least_flow(2 * g.n, arcs, itertools.starmap(seeded, pairs))
+    cut = [i for i in range(g.n) if 2 * i in flow_side and 2 * i + 1 not in flow_side]
+    alive = (1 << g.n) - 1 - sum(1 << i for i in cut)
+    if alive and reach(adj, alive & -alive, alive) == alive:
         raise AssertionError("vertex cut witness failed re-verification")
-    return best, cut_labels
+    return best, tuple(g.vertices[i] for i in cut)
 
 
 @_kept_on_graph
@@ -357,15 +348,19 @@ def edge_connectivity(g: Graph):
     """
     if g.n < 2:
         raise EmptyGraphError("edge connectivity needs at least 2 vertices")
-    idx = g._index
-    arcs = [(idx[a], idx[b], 1, 1) for a, b in g.edges]
+    pairs = _pairs(g.adj)
     kappa = vertex_connectivity(g)[0]
-    best, reach = _least_flow(g.n, arcs, ((0, t, ()) for t in range(1, g.n)), kappa)
-    best_cut = tuple(e for e in g.edges if (idx[e[0]] in reach) != (idx[e[1]] in reach))
-    remaining = g.without_edges(best_cut)
-    if is_connected(remaining) and best > 0:
+    best, flow_side = _least_flow(
+        g.n, [(i, j, 1, 1) for i, j in pairs], ((0, t, ()) for t in range(1, g.n)), kappa)
+    cut = [(i, j) for i, j in pairs if (i in flow_side) != (j in flow_side)]
+    remaining = list(g.adj)
+    for i, j in cut:
+        remaining[i] &= ~(1 << j)
+        remaining[j] &= ~(1 << i)
+    everyone = (1 << g.n) - 1
+    if best > 0 and reach(remaining, 1, everyone) == everyone:
         raise AssertionError("edge cut witness failed re-verification")
-    return best, best_cut
+    return best, tuple((g.vertices[i], g.vertices[j]) for i, j in cut)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -601,11 +596,11 @@ def contains_forbidden_line_graph(g: Graph):
     # Most-constrained first: pattern vertices by descending degree.
     order = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
     wanted = [[pattern.has_edge(p, q) for q in order] for p in order]
-    adj = [set(ns) for ns in g._adj_lists]
+    adj = g.adj
     images: list[int] = []
 
     def extend(cands):
-        # cands[i]: host indices, in host order, that order[len(images) + i]
+        # cands[i]: mask of the host vertices that order[len(images) + i]
         # may still take -- unused, of large enough degree and consistent
         # with every placed vertex. A placement that empties any of them is
         # skipped, so the first embedding found is the one plain
@@ -613,11 +608,11 @@ def contains_forbidden_line_graph(g: Graph):
         if not cands:
             return True
         pos = len(images)
-        for h in cands[0]:
+        for h in _bits(cands[0]):
             nh = adj[h]
             rest = []
             for i, cand in enumerate(cands[1:], start=pos + 1):
-                cand = [c for c in cand if c != h and (c in nh) == wanted[pos][i]]
+                cand &= (nh if wanted[pos][i] else ~nh) & ~(1 << h)
                 if not cand:
                     break
                 rest.append(cand)
@@ -628,8 +623,8 @@ def contains_forbidden_line_graph(g: Graph):
                 images.pop()
         return False
 
-    degrees = [len(ns) for ns in adj]
-    start = [[h for h in range(g.n) if degrees[h] >= pattern.degree(p)] for p in order]
+    start = [sum(1 << h for h in range(g.n) if adj[h].bit_count() >= pattern.degree(p))
+             for p in order]
     if not extend(start):
         return None
     witness = {p: g.vertices[h] for p, h in zip(order, images)}

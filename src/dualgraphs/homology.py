@@ -60,6 +60,7 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex
 from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, NonPureComplexError, ResourceCapError
 from .errors import VoidComplexError
+from .graphs import reach
 from .linalg import QQ, FieldSpec, rank, rank_gf2_columns
 
 #: GF(2): every Betti profile over Q is first computed over it.
@@ -309,7 +310,8 @@ def is_normal(cx: SimplicialComplex) -> bool:
     one dimension less -- on a pure complex, the ridge relation
     ``cx.ridge_neighbors`` -- and every star must stay connected that way.
     Each star, a bitmask of facet indices, is the AND of its vertices'
-    stars, flooded from its lowest facet by the facets' neighbour bitmasks.
+    stars, and ``graphs.reach`` floods it from its lowest facet along the
+    facets' neighbour bitmasks.
     """
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
@@ -326,13 +328,7 @@ def is_normal(cx: SimplicialComplex) -> bool:
             low = rest & -rest
             star &= vertex_stars[low.bit_length() - 1]
             rest ^= low
-        seen = frontier = star & -star
-        while frontier:
-            low = frontier & -frontier
-            reached = around[low.bit_length() - 1] & star & ~seen
-            seen |= reached
-            frontier ^= low | reached
-        if seen != star:
+        if reach(around, star & -star, star) != star:
             return False
     return True
 

@@ -371,6 +371,8 @@ def test_connectivity_values_match_networkx_beyond_brute_force_size():
         h = to_networkx(g)
         assert vertex_connectivity(g)[0] == nx.node_connectivity(h)
         assert edge_connectivity(g)[0] == nx.edge_connectivity(h)
+        assert diameter(g) == nx.diameter(h)
+    assert diameter(hypercube_graph(10)) == 10
 
 
 def test_dual_graph_of_join_is_product():

@@ -19,6 +19,7 @@ from dualgraphs.graphs import (
     diameter,
     dual_graph,
     edge_connectivity,
+    is_connected,
     menger_diameter_bounds,
     vertex_connectivity,
 )
@@ -36,6 +37,7 @@ from oracles import (
     bf_faces,
     bf_is_normal,
     bf_vertex_connectivity,
+    connected_after_removal,
     hilbert_h_vector,
     bf_minimal_nonfaces,
     bf_reduced_betti,
@@ -243,16 +245,10 @@ def test_connectivity_oracles_and_inequalities(g):
 def test_connectivity_witnesses_reverify(g):
     kappa, vcut = vertex_connectivity(g)
     lam, ecut = edge_connectivity(g)
-    if vcut is not None:
-        remaining = g.without_vertices(vcut)
-        if remaining.n > 1:
-            from dualgraphs.graphs import is_connected
-
-            assert not is_connected(remaining)
+    if vcut is not None and g.n - len(vcut) > 1:
+        assert not connected_after_removal(g, set(vcut))
     if lam > 0:
-        from dualgraphs.graphs import is_connected
-
-        assert not is_connected(g.without_edges(ecut))
+        assert not is_connected(Graph(g.vertices, set(g.edges) - set(ecut)))
 
 
 def test_join_additivity_of_diameter_and_height():
