@@ -41,7 +41,7 @@ HVector = tuple[int, ...]
 
 def _maximal_masks(masks) -> list[int]:
     """Inclusion-maximal members, sorted ascending as integers."""
-    distinct = sorted(set(masks), key=lambda m: (-bin(m).count("1"), m))
+    distinct = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
     kept: list[int] = []
     for m in distinct:
         if not any(m & k == m for k in kept):
@@ -142,13 +142,13 @@ class SimplicialComplex:
         """Largest face dimension; -1 for the empty complex."""
         if self.is_void:
             raise VoidComplexError("the void complex has no dimension")
-        return max(bin(m).count("1") for m in self.facets) - 1
+        return max(m.bit_count() for m in self.facets) - 1
 
     @cached_property
     def is_pure(self) -> bool:
         if self.is_void:
             raise VoidComplexError("the void complex has no facets")
-        sizes = {bin(m).count("1") for m in self.facets}
+        sizes = {m.bit_count() for m in self.facets}
         return len(sizes) == 1
 
     def _require_pure(self, what: str):
@@ -178,14 +178,15 @@ class SimplicialComplex:
     @cached_property
     def ridge_pairs(self) -> frozenset[tuple[int, int]]:
         """Facet-index pairs (i, j), i < j, of facets that differ in exactly
-        one vertex each; on a pure complex, the edges of the dual graph."""
-        facets = self.facets
-        return frozenset(
-            (i, j)
-            for i in range(len(facets))
-            for j in range(i + 1, len(facets))
-            if bin(facets[i] ^ facets[j]).count("1") == 2
-        )
+        one vertex each; on a pure complex, the edges of the dual graph.
+        Such a pair shares exactly one ridge: facets are grouped by ridge."""
+        sharing: dict[int, list[int]] = {}
+        for j, f in enumerate(self.facets):
+            for v in range(f.bit_length()):
+                if f >> v & 1:
+                    sharing.setdefault(f ^ 1 << v, []).append(j)
+        return frozenset((i, j) for js in sharing.values() for k, j in enumerate(js)
+                         for i in js[:k])
 
     @cached_property
     def ridge_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -255,7 +256,7 @@ class SimplicialComplex:
             raise VoidComplexError("the void complex has no f-vector")
         counts = [0] * (self.dimension + 2)
         for m in self.faces:
-            counts[bin(m).count("1")] += 1
+            counts[m.bit_count()] += 1
         return tuple(counts)
 
     @cached_property

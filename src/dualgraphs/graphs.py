@@ -307,7 +307,8 @@ def vertex_connectivity(g: Graph):
     w of s and t gives the path s_out -> w_in -> w_out -> t_in; these
     paths share no unit arc, so together they seed the pair's flow, and a
     pair with at least as many common neighbours as the least value so far
-    needs no search (see ``_least_flow``).
+    needs no search (see ``_least_flow``). On a connected graph no pair has
+    a flow below 1, so the loop ends at the first pair of value 1.
     """
     if g.n < 2:
         raise EmptyGraphError("vertex connectivity needs at least 2 vertices")
@@ -330,7 +331,8 @@ def vertex_connectivity(g: Graph):
         common = _bits(adj[s] & adj[t])
         return 2 * s + 1, 2 * t, [(into(s, k), 2 * k, into(k, t)) for k in common]
 
-    best, flow_side = _least_flow(2 * g.n, arcs, itertools.starmap(seeded, pairs))
+    best, flow_side = _least_flow(2 * g.n, arcs, itertools.starmap(seeded, pairs),
+                                  floor=1 if is_connected(g) else 0)
     cut = [i for i in range(g.n) if 2 * i in flow_side and 2 * i + 1 not in flow_side]
     alive = (1 << g.n) - 1 - sum(1 << i for i in cut)
     if alive and reach(adj, alive & -alive, alive) == alive:

@@ -22,10 +22,12 @@ The regularity sweep's cover rule: with U(W) the union of the minimal
 nonfaces inside a vertex set W, W is a face exactly when U(W) is empty, and
 its restriction is a cone with apex v exactly when v is in W but not in
 U(W). Both are acyclic over every field, so only a W with U(W) = W is built.
-No restriction has homology above the dimension d, so the sweep stops at
-the first W with b~_d != 0. A homology sphere K on V needs no sweep:
-Alexander duality gives b~_d(K_W) = b~_{-1}(K_{V-W}), nonzero only at W = V,
-and the witness V re-verifies, which alone proves reg = d + 1.
+A W holding a cone vertex (one in every facet) restricts to a cone, so no
+restriction has homology above the dimension e of the core K (the complex
+less its cone vertices): the sweep stops at the first W with b~_e != 0.
+If K is a homology sphere no sweep runs: Alexander duality gives
+b~_e(K_W) = b~_{-1}(K_{V(K)-W}), nonzero only at W = V(K), the witness,
+which re-verifies on K itself (the complex, when it has no cone vertex).
 
 Before any link is built, a pure complex is offered a shelling: an order
 F_1, ..., F_m of its facets in which each F_k meets F_1 u ... u F_{k-1} in
@@ -347,9 +349,10 @@ def regularity(
     them (module docstring) -- are skipped; every other restriction's
     profile is kept on ``cx``, so a second field's sweep reuses the GF(2)
     profiles. The witness is the first subset in Gray-code order attaining
-    the maximum; the sweep ends at the first W attaining d + 1, and a pure
-    homology sphere skips it (module docstring). The witness re-verifies on
-    a freshly built restriction, apart from the kept profiles. On
+    the maximum; the sweep ends at the first W attaining dim(core) + 1,
+    and a pure complex whose core is a homology sphere skips it (module
+    docstring). Its witness re-verifies on the kept core, any other on a
+    freshly built restriction, apart from the kept profiles. On
     Cohen-Macaulay input the result is cross-checked against the
     h-polynomial degree (the Reisner sweep this takes is kept on ``cx`` and
     shared with ``is_cohen_macaulay``).
@@ -363,12 +366,13 @@ def regularity(
             " vertices (raise max_vertices / --max-hochster-n to override)"
         )
     nonfaces = [cx.mask_of(nf) for nf in cx.minimal_nonfaces]
-    best = best_mask = 0
-    if cx.is_pure and is_homology_sphere(cx, field):
-        best, best_mask = cx.dimension + 1, (1 << n) - 1
+    core = cx.core()
+    best, best_mask, witness = 0, 0, None
+    if cx.is_pure and not core.is_empty_complex and is_homology_sphere(core, field):
+        best, best_mask, witness = core.dimension + 1, (1 << n) - 1 & ~cx.cone_mask, core
     for k in range(1, 1 << n):
-        if best == cx.dimension + 1:
-            break  # nothing above the dimension: no later W can do better
+        if best > core.dimension:
+            break  # nothing above the core's dimension: no later W can do better
         w = k ^ (k >> 1)
         cover = 0
         for nf in nonfaces:
@@ -382,7 +386,7 @@ def regularity(
             best = top
             best_mask = w
     # The witness must re-verify against the full Betti computation.
-    witness = cx.restrict_mask(best_mask)
+    witness = witness or cx.restrict_mask(best_mask)
     if reduced_betti_numbers(witness, field).betti(best - 1) <= 0:
         raise AssertionError("regularity witness failed re-verification")
     if cx.is_pure and is_cohen_macaulay(cx, field):

@@ -380,8 +380,9 @@ def build_complex_report(
     if fields is None:
         fields = (homology.QQ,)
     for field in dict.fromkeys(fields):  # a repeated field is analyzed once
-        cert = homology.regularity(cx, field, max_vertices=max_hochster_n)
+        # the whole profile before regularity builds the core: a smaller peak
         betti = homology.reduced_betti_numbers(cx, field)
+        cert = homology.regularity(cx, field, max_vertices=max_hochster_n)
         result = _FieldResult(
             str(field),
             homology.is_cohen_macaulay(cx, field),

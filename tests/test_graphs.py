@@ -361,6 +361,27 @@ def test_dense_graphs_report_the_source_closest_cut_of_the_first_least_pair(g, m
     assert edge_connectivity(g) == bf_edge_cut_witness(g)
 
 
+def test_vertex_connectivity_of_a_connected_graph_stops_at_a_pair_of_value_one(monkeypatch):
+    least_flow = graphs._least_flow
+    consumed = []
+
+    def counting(n_nodes, arcs, pairs, floor=0):
+        def seen():
+            for pair in pairs:
+                consumed.append(pair)
+                yield pair
+        return least_flow(n_nodes, arcs, seen(), floor)
+
+    monkeypatch.setattr(graphs, "_least_flow",
+                        lambda n_nodes, arcs, pairs, floor=0: least_flow(n_nodes, arcs, pairs))
+    unfloored = vertex_connectivity(path_graph(40))
+    monkeypatch.setattr(graphs, "_least_flow", counting)
+    # the same least pair and cut as a schedule run to its end; of the 38
+    # pairs only the first runs a flow, and the loop ends as it draws the next
+    assert vertex_connectivity(path_graph(40)) == unfloored == (1, ("2",))
+    assert len(consumed) == 2
+
+
 def test_connectivity_values_match_networkx_beyond_brute_force_size():
     import networkx as nx
 

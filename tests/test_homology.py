@@ -297,8 +297,9 @@ def test_regularity_builds_only_restrictions_with_homology(monkeypatch, facets, 
     cert = regularity(c, field)
     if c.is_pure and bf_reisner(c, field)[1]:
         # a homology sphere: by Alexander duality only W = V has homology in
-        # degree dim, so the sweep is skipped and the witness alone is built
-        assert built == {(1 << c.n_vertices) - 1}
+        # degree dim, so the sweep is skipped and the witness V re-verifies
+        # on the complex itself
+        assert built == set()
         return
     # every W whose restriction is neither a simplex nor a cone, in Gray
     # order up to the first W with homology in degree dim, plus the witness
@@ -308,6 +309,38 @@ def test_regularity_builds_only_restrictions_with_homology(monkeypatch, facets, 
         gray = gray[: gray.index(c.mask_of(witness)) + 1]
     wanted = {w for w in gray if not bf_acyclic_by_cone(c, w)}
     assert built == wanted | {c.mask_of(cert.witness_vertices)}
+
+
+def test_report_builds_one_whole_complex_profile_per_field(monkeypatch):
+    c = crosspolytope_boundary(4)
+    whole = Counter()
+    ranks_profile = homology._ranks_profile
+
+    def counting(sub, field):
+        if sub.facets == c.facets:
+            whole[field] += 1
+        return ranks_profile(sub, field)
+
+    built = []
+    restrict_mask = SimplicialComplex.restrict_mask
+    monkeypatch.setattr(homology, "_ranks_profile", counting)
+    monkeypatch.setattr(SimplicialComplex, "restrict_mask",
+                        lambda self, mask: built.append(mask) or restrict_mask(self, mask))
+    build_complex_report(c, (QQ, GF2, GF3))
+    # the Q profile is read off the GF(2) one; regularity's witness V
+    # re-verifies on the report's own profiles
+    assert whole == {GF2: 1, GF3: 1}
+    assert built == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_a_false_sphere_verdict_fails_the_witness(monkeypatch, field):
+    # the octahedron less one triangle is a 2-ball: b~_2 = 0 over every field
+    octahedron = crosspolytope_boundary(3)
+    ball = SimplicialComplex.from_facets(octahedron.facet_labels()[1:])
+    monkeypatch.setattr(homology, "_reisner_sweep", lambda cx, field: (True, True))
+    with pytest.raises(AssertionError, match="regularity witness failed re-verification"):
+        regularity(ball, field)
 
 
 def test_homology_results_die_with_the_complex():

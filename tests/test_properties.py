@@ -198,6 +198,50 @@ def test_sphere_regularity_matches_unskipped_sweep_oracle(name):
         assert cert.witness_vertices == c.vertices
 
 
+def _cone_regularity_builds_only_the_core(c, field):
+    """regularity(c, field), recording the restrictions of ``c`` it builds:
+    none but the core, which ``is_gorenstein`` builds and keeps as well."""
+    built = []
+    restrict_mask = SimplicialComplex.restrict_mask
+
+    def recording(self, mask):
+        if self is c:
+            built.append(mask)
+        return restrict_mask(self, mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimplicialComplex, "restrict_mask", recording)
+        cert = regularity(c, field)
+    assert built == [(1 << c.n_vertices) - 1 & ~c.cone_mask]
+    return cert
+
+
+def _cone(sphere, apexes, first):
+    return SimplicialComplex.from_facets(
+        apexes + f if first else f + apexes for f in sphere.facet_labels())
+
+
+@given(spheres(max_vertices=5), st.sampled_from([("a",), ("a", "b")]), st.booleans(),
+       st.sampled_from([QQ, GF2, GF3]))
+def test_cone_over_a_sphere_regularity_comes_from_the_core(sphere, apexes, first, field):
+    # a W holding an apex restricts to a cone, so only W = V(core) attains
+    # dim(core) + 1; no sweep runs and the witness re-verifies on the core
+    c = _cone(sphere, apexes, first)
+    cert = _cone_regularity_builds_only_the_core(c, field)
+    assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
+    assert cert.value == bf_hochster_regularity(c, field) == sphere.dimension + 1
+
+
+@pytest.mark.parametrize("name", [n for n in SPHERES if SPHERES[n].n_vertices <= 6])
+@pytest.mark.parametrize("apexes", [("a",), ("a", "b")], ids=["one-apex", "two-apexes"])
+def test_cone_over_a_named_sphere_regularity_comes_from_the_core(name, apexes):
+    for field in (QQ, GF2, GF3):
+        c = _cone(SPHERES[name], apexes, first=False)
+        cert = _cone_regularity_builds_only_the_core(c, field)
+        assert (cert.value, cert.witness_vertices) == bf_regularity(c, field)
+        assert cert.value == bf_hochster_regularity(c, field)
+
+
 @given(complexes(max_vertices=7), st.sampled_from([QQ, GF2]))
 def test_regularity_matches_hochster_link_oracle(c, field):
     # local cohomology from the links of faces, apart from the restriction
@@ -280,6 +324,13 @@ def test_dual_adjacency_is_symmetric_difference_two(c):
     for i, j in itertools.combinations(range(len(facets)), 2):
         expected = bin(facets[i] ^ facets[j]).count("1") == 2
         assert ((i, j) in edges) == expected
+
+
+@given(complexes(max_vertices=6, max_facets=10))
+def test_ridge_pairs_are_the_facets_differing_in_one_vertex_each_pure_or_not(c):
+    facets = c.facets
+    assert c.ridge_pairs == {(i, j) for i, j in itertools.combinations(range(len(facets)), 2)
+                             if (facets[i] ^ facets[j]).bit_count() == 2}
 
 
 @given(st.one_of(pure_complexes(), spheres()))
