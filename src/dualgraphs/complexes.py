@@ -214,20 +214,15 @@ class SimplicialComplex:
         return frozenset(out)
 
     @cached_property
-    def faces_by_card(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Faces as sorted index tuples, grouped by cardinality, each group
-        in lexicographic order. This fixes the chain-complex bases."""
+    def faces_by_card(self) -> tuple[tuple[int, ...], ...]:
+        """Face masks grouped by vertex count, each group ascending. This
+        fixes the chain-complex bases."""
         if self.is_void:
             raise VoidComplexError("the void complex has no faces")
-        groups: list[list[tuple[int, ...]]] = [[] for _ in range(self.dimension + 2)]
-        for m in self.faces:
-            face = []
-            mm = m
-            while mm:
-                face.append((mm & -mm).bit_length() - 1)
-                mm &= mm - 1
-            groups[len(face)].append(tuple(face))
-        return tuple(tuple(sorted(g)) for g in groups)
+        groups: list[list[int]] = [[] for _ in range(self.dimension + 2)]
+        for m in sorted(self.faces):
+            groups[m.bit_count()].append(m)
+        return tuple(map(tuple, groups))
 
     @cached_property
     def memo(self) -> dict:
@@ -251,13 +246,8 @@ class SimplicialComplex:
 
     @cached_property
     def f_vector(self) -> FVector:
-        """(f_-1, f_0, ..., f_d), counted by expanding facet subsets."""
-        if self.is_void:
-            raise VoidComplexError("the void complex has no f-vector")
-        counts = [0] * (self.dimension + 2)
-        for m in self.faces:
-            counts[m.bit_count()] += 1
-        return tuple(counts)
+        """(f_-1, f_0, ..., f_d): the sizes of the ``faces_by_card`` groups."""
+        return tuple(map(len, self.faces_by_card))
 
     @cached_property
     def h_vector(self) -> HVector:

@@ -8,11 +8,13 @@ The coefficient field is a first-class parameter: Cohen-Macaulayness,
 Gorensteinness, and regularity genuinely depend on it (the 6-vertex real
 projective plane separates Q from GF(2)).
 
-Betti profiles come from boundary ranks. Over GF(2) each boundary column is
-packed into a Python int, one bit per lower face, and the columns are
-reduced by XOR (``linalg.rank_gf2_columns``); every other field ranks
-sparse integer rows through ``linalg.rank``. A Q profile is read off the
-GF(2) profile whenever that has at most one nonzero entry: by universal
+Betti profiles come from boundary ranks in the face-mask basis of
+``SimplicialComplex.faces_by_card``. One walk over each face's vertices,
+lowest first with alternating signs, builds its boundary for every field:
+over GF(2) a column packed into a Python int, one bit per lower face, the
+columns reduced by XOR (``linalg.rank_gf2_columns``); over any other field
+sparse +-1 rows ranked by ``linalg.rank``. A Q profile is read off the GF(2)
+profile whenever that has at most one nonzero entry: by universal
 coefficients b~_i(Q) <= b~_i(GF(2)) for every i, and both profiles
 alternate-sum to the reduced Euler characteristic. Otherwise -- 2-torsion
 may be present, as in the projective plane -- the Q ranks are computed
@@ -26,8 +28,9 @@ A W holding a cone vertex (one in every facet) restricts to a cone, so no
 restriction has homology above the dimension e of the core K (the complex
 less its cone vertices): the sweep stops at the first W with b~_e != 0.
 If K is a homology sphere no sweep runs: Alexander duality gives
-b~_e(K_W) = b~_{-1}(K_{V(K)-W}), nonzero only at W = V(K), the witness,
-which re-verifies on K itself (the complex, when it has no cone vertex).
+b~_e(K_W) = b~_{-1}(K_{V(K)-W}), nonzero only at W = V(K), the witness.
+A witness W = V(K), from that shortcut or from the sweep, re-verifies on K
+itself (the complex, when it has no cone vertex).
 
 Before any link is built, a pure complex is offered a shelling: an order
 F_1, ..., F_m of its facets in which each F_k meets F_1 u ... u F_{k-1} in
@@ -96,47 +99,32 @@ class RegularityCertificate(NamedTuple):
     witness_index: int
 
 
-def _boundary_sparse(cx: SimplicialComplex, card: int) -> list[dict[int, int]]:
-    """Sparse rows of the boundary map from `card`-vertex faces down, one
-    per (card - 1)-vertex face: rows[r] maps a column to its sign."""
-    groups = cx.faces_by_card
-    row_index = {f: r for r, f in enumerate(groups[card - 1])}
-    rows: list[dict[int, int]] = [{} for _ in row_index]
-    for c, face in enumerate(groups[card]):
-        for t in range(card):
-            sub = face[:t] + face[t + 1 :]
-            rows[row_index[sub]][c] = -1 if t % 2 else 1
-    return rows
-
-
 def _ranks_profile(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
-    """Reduced Betti numbers from the boundary ranks over ``field``."""
-    top = cx.dimension + 1
-    ranks = [0] * (top + 2)
-    if field.p == 2:
-        # Columns straight from the face masks: bit r of the column of a
-        # face is set when the r-th face one vertex smaller lies in it.
-        groups: list = [[] for _ in range(top + 1)]
-        for m in cx.faces:
-            groups[m.bit_count()].append(m)
-        row_bit = {0: 1}
-        for card in range(1, top + 1):
-            columns = []
-            for face in groups[card]:
-                col = 0
-                rest = face
-                while rest:
-                    vertex = rest & -rest
-                    col |= row_bit[face ^ vertex]
-                    rest ^= vertex
-                columns.append(col)
-            ranks[card] = rank_gf2_columns(columns)
-            row_bit = {face: 1 << r for r, face in enumerate(groups[card])}
-    else:
-        groups = cx.faces_by_card
-        for card in range(1, top + 1):
-            ranks[card] = rank(_boundary_sparse(cx, card), field)
-    return tuple(len(groups[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+    """Reduced Betti numbers from the boundary ranks over ``field``: bit r
+    of a GF(2) column, or entry r of a sparse row, is the r-th face one
+    vertex smaller (module docstring)."""
+    gf2 = field.p == 2
+    groups = cx.faces_by_card
+    ranks = [0] * (len(groups) + 1)
+    row_of = {0: 0}
+    for card in range(1, len(groups)):
+        columns: list[int] = []
+        rows: list[dict[int, int]] = [] if gf2 else [{} for _ in groups[card - 1]]
+        for c, face in enumerate(groups[card]):
+            col, sign, rest = 0, 1, face
+            while rest:
+                vertex = rest & -rest
+                r = row_of[face ^ vertex]
+                if gf2:
+                    col |= 1 << r
+                else:
+                    rows[r][c] = sign
+                    sign = -sign
+                rest ^= vertex
+            columns.append(col)
+        ranks[card] = rank_gf2_columns(columns) if gf2 else rank(rows, field)
+        row_of = {face: r for r, face in enumerate(groups[card])}
+    return tuple(len(groups[k]) - ranks[k] - ranks[k + 1] for k in range(len(groups)))
 
 
 def _certified_by_gf2(mod2: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -351,11 +339,11 @@ def regularity(
     profiles. The witness is the first subset in Gray-code order attaining
     the maximum; the sweep ends at the first W attaining dim(core) + 1,
     and a pure complex whose core is a homology sphere skips it (module
-    docstring). Its witness re-verifies on the kept core, any other on a
-    freshly built restriction, apart from the kept profiles. On
-    Cohen-Macaulay input the result is cross-checked against the
-    h-polynomial degree (the Reisner sweep this takes is kept on ``cx`` and
-    shared with ``is_cohen_macaulay``).
+    docstring). A witness equal to V(core) re-verifies on the kept core,
+    any other on a freshly built restriction, apart from the kept
+    profiles. On Cohen-Macaulay input the result is cross-checked against
+    the h-polynomial degree (the Reisner sweep this takes is kept on ``cx``
+    and shared with ``is_cohen_macaulay``).
     """
     if cx.is_void:
         raise VoidComplexError("the void complex has no regularity")
@@ -367,9 +355,10 @@ def regularity(
         )
     nonfaces = [cx.mask_of(nf) for nf in cx.minimal_nonfaces]
     core = cx.core()
-    best, best_mask, witness = 0, 0, None
+    core_mask = (1 << n) - 1 & ~cx.cone_mask
+    best, best_mask = 0, 0
     if cx.is_pure and not core.is_empty_complex and is_homology_sphere(core, field):
-        best, best_mask, witness = core.dimension + 1, (1 << n) - 1 & ~cx.cone_mask, core
+        best, best_mask = core.dimension + 1, core_mask
     for k in range(1, 1 << n):
         if best > core.dimension:
             break  # nothing above the core's dimension: no later W can do better
@@ -386,7 +375,7 @@ def regularity(
             best = top
             best_mask = w
     # The witness must re-verify against the full Betti computation.
-    witness = witness or cx.restrict_mask(best_mask)
+    witness = core if best_mask == core_mask else cx.restrict_mask(best_mask)
     if reduced_betti_numbers(witness, field).betti(best - 1) <= 0:
         raise AssertionError("regularity witness failed re-verification")
     if cx.is_pure and is_cohen_macaulay(cx, field):

@@ -18,18 +18,17 @@ with (a_k, b_k) nonzero lies in the row span of both lines.
 Intersection points are canonicalized to primitive integer vectors with a
 positive leading coordinate, which turns triple-point detection into set
 membership. An arrangement finds all of them once, when it is built: its
-constructor runs ``intersects`` on every pair.
+constructor runs ``intersects`` on every pair, and the same pass records
+the first point found on three lines.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import HypothesisError, InputError
-from .graphs import CanonicalGraphCheck, Graph, HirschVerdict, check_canonical_graph, diameter
-from .graphs import edge_connectivity
+from .graphs import CanonicalGraphCheck, Graph, check_canonical_graph
 from .linalg import integer_vector, kernel_image, nullspace, parse_rational_vector
 from .linalg import rational_to_json
 
@@ -116,7 +115,9 @@ class LineArrangement:
     """Finitely many pairwise distinct lines in a common P^N (N >= 2).
 
     The constructor runs ``intersects`` once per pair, which both rejects
-    coinciding lines and finds the meeting points, and keeps those points.
+    coinciding lines and finds the meeting points, and keeps those points;
+    ``triple_point`` is the first of them, in pair order, found again at
+    another pair, so lying on three lines (None when there is none).
     The arrangement never changes, so its dual graph is computed on first
     use and kept on the instance.
     """
@@ -134,14 +135,20 @@ class LineArrangement:
         if not self.lines:
             raise InputError("arrangement needs at least one line")
         self._intersections = {}
+        self.triple_point = None
+        points = set()
         for i, l1 in enumerate(self.lines):
             for j in range(i + 1, len(self.lines)):
                 try:
                     point = intersects(l1, self.lines[j])
                 except InputError:  # the ambient dimensions agree: the lines coincide
                     raise InputError(f"lines {i + 1} and {j + 1} coincide") from None
-                if point is not None:
-                    self._intersections[(i, j)] = point
+                if point is None:
+                    continue
+                if self.triple_point is None and point in points:
+                    self.triple_point = point
+                points.add(point)
+                self._intersections[(i, j)] = point
         self._dual_graph = None
 
     @property
@@ -154,14 +161,9 @@ class LineArrangement:
 
 
 def no_triple_points(arr: LineArrangement):
-    """(True, None) when no point lies on three lines, else (False, point)."""
-    by_point: dict[tuple[int, ...], set[int]] = {}
-    for (i, j), pt in sorted(arr.intersection_pairs().items()):
-        lines_at = by_point.setdefault(pt, set())
-        lines_at.update((i, j))
-        if len(lines_at) >= 3:
-            return False, pt
-    return True, None
+    """(True, None) when no point lies on three lines, else (False, point)
+    for the point the arrangement recorded when it was built."""
+    return arr.triple_point is None, arr.triple_point
 
 
 def dual_graph(arr: LineArrangement) -> Graph:
@@ -183,68 +185,29 @@ def genus(arr: LineArrangement) -> int:
     return t - arr.n_lines + 1
 
 
-class CurveReport(NamedTuple):
-    """Dual-graph analysis of a line arrangement as a projective curve."""
-
-    line_count: int
-    intersection_count: int
-    triple_point_free: bool
-    genus: int
-    dual_graph: Graph
-    three_edge_connected: bool
-    edge_connectivity: int
-    height: int
-    diameter: float | int
-    verdict: str
-    branch: str | None
-    trivalent_three_connected: bool | None
-
-
-#: CurveReport verdicts: the value of a Hirsch verdict, or not embeddable
-VERDICT_HIRSCH = HirschVerdict.HIRSCH.value
-VERDICT_NOT_HIRSCH = HirschVerdict.NOT_HIRSCH.value
+#: The verdict of an arrangement whose dual graph is not 3-edge-connected
 VERDICT_NOT_EMBEDDABLE = "not_canonically_embeddable"
 
 
-def canonical_hirsch_verdict(arr: LineArrangement) -> CurveReport:
-    """Full pipeline for a canonically embedded triple-point-free arrangement.
+def canonical_hirsch_verdict(arr: LineArrangement) -> CanonicalGraphCheck | None:
+    """The bound diam <= height = genus - 2 for a canonically embedded
+    triple-point-free arrangement, checked on its dual graph.
 
-    The genus g gives the ideal height g - 2. A canonically embeddable
-    arrangement must have a 3-edge-connected dual graph, so edge
-    connectivity below 3 yields the verdict "not_canonically_embeddable";
-    otherwise the diameter is checked against the height. In the trivalent
-    case (2t = 3s) the graph is additionally checked to be 3-vertex-
-    connected, which is the step the diameter argument rests on there.
+    For s lines meeting in t points the genus is t - s + 1, so the height
+    is t - s - 1: the bound ``check_canonical_graph`` verifies, with the
+    trivalent case (2t = 3s) also checked to be 3-vertex-connected. A
+    canonically embeddable arrangement has a 3-edge-connected dual graph,
+    so None (not canonically embeddable) is returned when it is not.
     """
     if arr.n_lines < 4:
         raise HypothesisError("need at least 4 lines")
     ok, pt = no_triple_points(arr)
     if not ok:
         raise HypothesisError(f"three lines meet at {pt}")
-    g = genus(arr)
-    graph = dual_graph(arr)
-    lam, _ = edge_connectivity(graph)
-    # For s lines meeting in t points, the height g - 2 is t - s - 1: the
-    # bound check_canonical_graph verifies on the dual graph.
-    check = check_canonical_graph(graph) if lam >= 3 else None
-    if check is None:
-        verdict = VERDICT_NOT_EMBEDDABLE
-    else:
-        verdict = VERDICT_HIRSCH if check.passed else VERDICT_NOT_HIRSCH
-    return CurveReport(
-        line_count=graph.n,
-        intersection_count=graph.m,
-        triple_point_free=True,
-        genus=g,
-        dual_graph=graph,
-        three_edge_connected=check is not None,
-        edge_connectivity=lam,
-        height=g - 2,
-        diameter=diameter(graph),
-        verdict=verdict,
-        branch=None if check is None else check.branch,
-        trivalent_three_connected=None if check is None else check.trivalent_three_connected,
-    )
+    try:
+        return check_canonical_graph(dual_graph(arr))
+    except HypothesisError:  # with s >= 4 vertices, only an edge connectivity below 3
+        return None
 
 
 # -- JSON format ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, inf
+from math import comb, gcd, inf, lcm
 
 from dualgraphs.complexes import SimplicialComplex
 from dualgraphs.graphs import Graph, diameter, non_revisiting_path
@@ -89,6 +89,59 @@ def rank_mod_p(rows, p: int) -> int:
             m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+# -- line arrangements ----------------------------------------------------------
+
+
+def _meeting_point(l1, l2):
+    """The point two distinct lines share, as a primitive integer vector
+    with a positive leading entry, or None when they are skew: from a
+    nonzero (a, b, c, d) with a p1 + b q1 = c p2 + d q2, found by fraction
+    Gauss-Jordan elimination on the columns p1, q1, -p2, -q2."""
+    cols = [l1.p, l1.q, [-x for x in l2.p], [-x for x in l2.q]]
+    m = [[Fraction(col[r]) for col in cols] for r in range(len(l1.p))]
+    pivots = []
+    for c in range(4):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    free = [c for c in range(4) if c not in pivots]
+    if not free:
+        return None
+    assert len(free) == 1, "the lines coincide"
+    x = [Fraction(0)] * 4
+    x[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        x[c] = -m[r][free[0]]
+    point = [x[0] * a + x[1] * b for a, b in zip(l1.p, l1.q)]
+    scale = lcm(*(v.denominator for v in point))
+    ints = [int(v * scale) for v in point]
+    g = gcd(*ints)
+    sign = -1 if next(v for v in ints if v) < 0 else 1
+    return tuple(sign * v // g for v in ints)
+
+
+def bf_first_triple_point(arr):
+    """The first point, in pair order, that lies on three lines: the
+    meeting point of the first pair (i, j), i < j in lexicographic order,
+    whose point an earlier pair already met at; None when there is none."""
+    seen = []
+    for i, j in itertools.combinations(range(len(arr.lines)), 2):
+        point = _meeting_point(arr.lines[i], arr.lines[j])
+        if point in seen:
+            return point
+        if point is not None:
+            seen.append(point)
+    return None
 
 
 # -- graphs ---------------------------------------------------------------------

@@ -333,6 +333,30 @@ def test_report_builds_one_whole_complex_profile_per_field(monkeypatch):
     assert built == []
 
 
+def test_a_witness_v_found_by_the_sweep_re_verifies_on_the_complex(monkeypatch):
+    # RP^2 is no sphere over GF(2), so the sweep runs and finds b~_2 != 0 at
+    # W = V; that witness re-verifies on the report's own whole-complex
+    # profiles, so V is restricted once (by the sweep) and each field has
+    # two whole-complex profiles: the sweep's restriction and the complex
+    c = cx(RP2_FACETS)
+    whole = Counter()
+    ranks_profile = homology._ranks_profile
+
+    def counting(sub, field):
+        if sub.facets == c.facets:
+            whole[field] += 1
+        return ranks_profile(sub, field)
+
+    built = []
+    restrict_mask = SimplicialComplex.restrict_mask
+    monkeypatch.setattr(homology, "_ranks_profile", counting)
+    monkeypatch.setattr(SimplicialComplex, "restrict_mask",
+                        lambda self, mask: built.append(mask) or restrict_mask(self, mask))
+    build_complex_report(c, (QQ, GF2))
+    assert whole == {QQ: 2, GF2: 2}
+    assert built.count((1 << c.n_vertices) - 1) == 1
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
 def test_a_false_sphere_verdict_fails_the_witness(monkeypatch, field):
     # the octahedron less one triangle is a 2-ball: b~_2 = 0 over every field

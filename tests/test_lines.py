@@ -3,20 +3,20 @@ import json
 import math
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import dualgraphs.lines as lines_module
 from dualgraphs.errors import HypothesisError, InputError
-from dualgraphs.graphs import complete_graph, hypercube_graph, path_graph, forbidden_pattern
+from dualgraphs.graphs import complete_graph, edge_connectivity, hypercube_graph, path_graph
+from dualgraphs.graphs import forbidden_pattern
 import dualgraphs.linalg as linalg_module
 from dualgraphs.linalg import integer_vector
 from dualgraphs.lines import (
     LineArrangement,
     ProjectiveLine,
-    VERDICT_HIRSCH,
-    VERDICT_NOT_EMBEDDABLE,
     canonical_hirsch_verdict,
     canonical_point,
     check_canonical_graph,
@@ -27,7 +27,11 @@ from dualgraphs.lines import (
     lines_to_json_dict,
     no_triple_points,
 )
-from oracles import gauss_rank
+from dualgraphs.lines import read_lines_file
+from dualgraphs.reports import build_lines_report
+from oracles import bf_first_triple_point, gauss_rank
+
+SAMPLES = Path(__file__).parent.parent / "sample_inputs"
 
 P = ProjectiveLine.through
 
@@ -160,25 +164,27 @@ def test_genus_requires_triple_point_free():
 
 
 def test_canonical_verdict_four_lines():
-    rep = canonical_hirsch_verdict(four_general_lines())
-    assert (rep.genus, rep.height, rep.diameter) == (3, 1, 1)
-    assert rep.edge_connectivity == 3 and rep.three_edge_connected
-    assert rep.verdict == VERDICT_HIRSCH
+    arr = four_general_lines()
+    rep = canonical_hirsch_verdict(arr)
+    assert (genus(arr), rep.height, rep.diameter) == (3, 1, 1)
+    assert edge_connectivity(dual_graph(arr))[0] == 3
+    assert rep.passed
     assert rep.branch == "trivalent" and rep.trivalent_three_connected
 
 
 def test_canonical_verdict_grid():
-    rep = canonical_hirsch_verdict(grid_lines())
-    assert (rep.line_count, rep.intersection_count) == (6, 9)
-    assert (rep.genus, rep.height, rep.diameter) == (4, 2, 2)
-    assert rep.verdict == VERDICT_HIRSCH
+    arr = grid_lines()
+    rep = canonical_hirsch_verdict(arr)
+    assert (rep.vertex_count, rep.edge_count) == (6, 9)
+    assert (genus(arr), rep.height, rep.diameter) == (4, 2, 2)
+    assert rep.passed
     assert rep.branch == "trivalent" and rep.trivalent_three_connected
 
 
 def test_canonical_verdict_path_not_embeddable():
-    rep = canonical_hirsch_verdict(path_lines())
-    assert rep.edge_connectivity == 1
-    assert rep.verdict == VERDICT_NOT_EMBEDDABLE
+    arr = path_lines()
+    assert edge_connectivity(dual_graph(arr))[0] == 1
+    assert canonical_hirsch_verdict(arr) is None
 
 
 def test_canonical_verdict_hypothesis_errors():
@@ -270,7 +276,7 @@ def test_check_canonical_graph_lives_in_graphs():
 def test_curve_report_is_immutable():
     rep = canonical_hirsch_verdict(four_general_lines())
     with pytest.raises(AttributeError):
-        rep.verdict = VERDICT_NOT_EMBEDDABLE
+        rep.passed = False
 
 
 def test_inexact_coordinate_is_a_type_error():
@@ -384,3 +390,53 @@ def test_each_line_gets_one_kernel(monkeypatch):
     assert kernels == [2] * 6
     assert len(pairs) == math.comb(6, 2)
     assert forbidden == []
+
+
+@st.composite
+def concurrent_line_sets(draw):
+    """(N, point pairs): lines in P^N, N = 2 or 3, in random order, some
+    forced through up to two common points."""
+    n = draw(st.sampled_from([2, 3]))
+    point = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=5))
+    for centre in draw(st.lists(point, max_size=2)):
+        pairs += [(centre, q) for q in draw(st.lists(point, min_size=2, max_size=4))]
+    return n, draw(st.permutations(pairs))
+
+
+@given(concurrent_line_sets())
+def test_triple_point_matches_the_fraction_oracle(line_data):
+    n, pairs = line_data
+    try:
+        arr = LineArrangement(n, [P(n, p, q) for p, q in pairs])
+    except InputError:
+        assume(False)
+    point = bf_first_triple_point(arr)
+    assert no_triple_points(arr) == (point is None, point)
+
+
+def test_the_triple_point_is_the_first_point_met_again():
+    # P = (0,0,1) lies on lines 0, 1, 5 and Q = (1,0,0) on lines 0, 2, 3:
+    # pair (0, 1) meets at P first, but pair (0, 3) meets Q again before
+    # pair (0, 5) meets P again
+    arr = LineArrangement(2, [
+        P(2, (0, 0, 1), (1, 0, 0)),
+        P(2, (0, 0, 1), (0, 1, 0)),
+        P(2, (1, 0, 0), (0, 1, 0)),
+        P(2, (1, 0, 0), (0, 1, 1)),
+        P(2, (1, -1, 0), (1, 0, -1)),
+        P(2, (0, 0, 1), (1, 1, 0)),
+    ])
+    assert no_triple_points(arr) == (False, (1, 0, 0))
+    assert bf_first_triple_point(arr) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["four_lines_p2", "grid_lines_p3", "path_lines_p3"])
+def test_a_lines_report_reads_the_intersection_pairs_at_most_twice(name, monkeypatch):
+    arr = read_lines_file(SAMPLES / f"{name}.json")
+    calls = []
+    pairs = LineArrangement.intersection_pairs
+    monkeypatch.setattr(LineArrangement, "intersection_pairs",
+                        lambda self: calls.append(1) or pairs(self))
+    build_lines_report(arr)
+    assert 1 <= len(calls) <= 2
