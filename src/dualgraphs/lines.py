@@ -204,8 +204,9 @@ def canonical_hirsch_verdict(arr: LineArrangement) -> CanonicalGraphCheck | None
     ok, pt = no_triple_points(arr)
     if not ok:
         raise HypothesisError(f"three lines meet at {pt}")
+    graph = dual_graph(arr)
     try:
-        return check_canonical_graph(dual_graph(arr))
+        return check_canonical_graph(graph)
     except HypothesisError:  # with s >= 4 vertices, only an edge connectivity below 3
         return None
 

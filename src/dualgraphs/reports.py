@@ -520,8 +520,8 @@ _LINES_CHECKS = (
     Check("canonical_hirsch",
           "canonically embedded triple-point-free line arrangements"
           " satisfy diam <= height = genus - 2",
-          lambda g, arr, curve: _violated(curve) or (
-              None if curve else f"dual graph is only {_lambda(g)}-edge-connected:"
+          lambda g, arr, curve: _violated(curve) or _unless(
+              curve, f"dual graph is only {_lambda(g)}-edge-connected:"
               " not canonically embeddable"),
           lambda g, arr, curve: (
               curve.passed,

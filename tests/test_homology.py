@@ -311,8 +311,9 @@ def test_regularity_builds_only_restrictions_with_homology(monkeypatch, facets, 
     assert built == wanted | {c.mask_of(cert.witness_vertices)}
 
 
-def test_report_builds_one_whole_complex_profile_per_field(monkeypatch):
-    c = crosspolytope_boundary(4)
+def _report_profiles_and_restrictions(monkeypatch, c, fields):
+    """Build the report of ``c``; return the whole-complex profiles it
+    computed, per field, and the masks it restricted ``c`` to."""
     whole = Counter()
     ranks_profile = homology._ranks_profile
 
@@ -326,7 +327,13 @@ def test_report_builds_one_whole_complex_profile_per_field(monkeypatch):
     monkeypatch.setattr(homology, "_ranks_profile", counting)
     monkeypatch.setattr(SimplicialComplex, "restrict_mask",
                         lambda self, mask: built.append(mask) or restrict_mask(self, mask))
-    build_complex_report(c, (QQ, GF2, GF3))
+    build_complex_report(c, fields)
+    return whole, built
+
+
+def test_report_builds_one_whole_complex_profile_per_field(monkeypatch):
+    whole, built = _report_profiles_and_restrictions(
+        monkeypatch, crosspolytope_boundary(4), (QQ, GF2, GF3))
     # the Q profile is read off the GF(2) one; regularity's witness V
     # re-verifies on the report's own profiles
     assert whole == {GF2: 1, GF3: 1}
@@ -339,20 +346,7 @@ def test_a_witness_v_found_by_the_sweep_re_verifies_on_the_complex(monkeypatch):
     # profiles, so V is restricted once (by the sweep) and each field has
     # two whole-complex profiles: the sweep's restriction and the complex
     c = cx(RP2_FACETS)
-    whole = Counter()
-    ranks_profile = homology._ranks_profile
-
-    def counting(sub, field):
-        if sub.facets == c.facets:
-            whole[field] += 1
-        return ranks_profile(sub, field)
-
-    built = []
-    restrict_mask = SimplicialComplex.restrict_mask
-    monkeypatch.setattr(homology, "_ranks_profile", counting)
-    monkeypatch.setattr(SimplicialComplex, "restrict_mask",
-                        lambda self, mask: built.append(mask) or restrict_mask(self, mask))
-    build_complex_report(c, (QQ, GF2))
+    whole, built = _report_profiles_and_restrictions(monkeypatch, c, (QQ, GF2))
     assert whole == {QQ: 2, GF2: 2}
     assert built.count((1 << c.n_vertices) - 1) == 1
 

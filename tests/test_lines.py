@@ -26,8 +26,8 @@ from dualgraphs.lines import (
     lines_from_json_dict,
     lines_to_json_dict,
     no_triple_points,
+    read_lines_file,
 )
-from dualgraphs.lines import read_lines_file
 from dualgraphs.reports import build_lines_report
 from oracles import bf_first_triple_point, gauss_rank
 
