@@ -10,14 +10,14 @@ A graph keeps one adjacency, a bitmask per vertex (``Graph.adj``). Every
 algorithm here runs on these masks and on vertex indices; labels are used
 only for input and output.
 
-Both connectivities run one max-flow routine (Dinic blocking flows) on a
-residual network built once per graph, pair after pair, and report the
-first least pair with the source side of its flow as the cut, re-verified.
-Most pairs never run a full flow: a vertex-connectivity pair starts from
-its paths through common neighbours and is skipped when these already
-reach the least value so far, any flow stops once it reaches that value,
-and edge connectivity stops once it reaches the vertex connectivity. None
-of this changes the reported value or cut (see ``_least_flow``).
+Both connectivities run one max-flow routine (Dinic blocking flows) on
+residual masks, pair after pair, and report the first least pair with the
+source side of its flow as the cut, re-verified. Most pairs never run a
+full flow: a vertex-connectivity pair starts from its paths through common
+neighbours and is skipped when these already reach the least value so far,
+any flow stops once it reaches that value, and edge connectivity stops
+once it reaches the vertex connectivity. None of this changes the reported
+value or cut (see ``_least_flow``).
 
 Graphs are immutable after construction, so each invariant -- diameter,
 vertex and edge connectivity with their cuts, the forbidden-pattern
@@ -184,39 +184,44 @@ def diameter(g: Graph) -> int | float:
     return best
 
 
-# -- max-flow (Dinic blocking flows on residual arrays) ------------------------
+# -- max-flow (Dinic blocking flows on residual masks) -------------------------
 
 
-def _least_flow(n_nodes: int, arcs, pairs, floor: int = 0):
+def _least_flow(arcs, unit, pairs, floor: int = 0):
     """The first least max-flow value over ``pairs``, with the source side
-    of that flow's residual network.
+    of that flow's residual network as a mask.
 
-    ``arcs`` lists (u, v, cap u->v, cap v->u); arc 2k runs u->v and arc
-    2k+1 back. ``pairs`` yields (s, t, seed): ``seed`` lists s-t paths, as
-    arc indices, that together form a flow of value len(seed). The network
-    is built once; each pair starts from its seed on a copy of the
-    capacities and adds blocking flows (Dinic), one unit per path found.
-    Each phase layers the residual network by distance to t, found by one
-    search backwards from t, so every arc down the layering leads on to t;
-    on unit vertex capacities a pair needs O(sqrt(n)) phases (Even-Tarjan).
+    ``arcs[u]`` masks the heads of the arcs out of node u; those in
+    ``unit[u]`` have capacity 1, the others are unbounded, and the callers
+    never let an arc carry two units. ``pairs`` yields (s, t, seed):
+    ``seed`` lists s-t paths, as node sequences, that together form a flow
+    of value len(seed). Each pair starts from its seed with three mask
+    lists -- ``used[u]``, the heads of u's arcs that carry flow; ``into[u]``,
+    the tails of the arcs that carry flow into u; ``res[u]``, u's
+    unsaturated arcs and the reverse of its ``into`` arcs -- and adds
+    blocking flows (Dinic). Each phase layers ``res`` from s, a ``_spread``
+    per level, and goes depth first to the lowest live node of the next
+    level; a dead end leaves its level. On unit vertex capacities a pair
+    needs O(sqrt(n)) phases (Even-Tarjan).
 
     No pair can win once it stops being strictly less than the least value
     so far, so a pair whose seed already reaches that value is skipped, and
     a flow stops as soon as it reaches it; the loop ends once the least
     value is at most ``floor``. The first pair, and any pair that becomes
     the new least, still runs to a maximum flow. The residual reach set of
-    a maximum flow is the unique minimal minimum cut (Picard-Queyranne), so
-    the witness -- the reach set of a final search from s, which misses t
-    -- depends neither on the seed nor on which paths were found.
+    a maximum flow is the unique minimal minimum cut (Picard-Queyranne),
+    whatever the capacities, so the witness -- the reach set of a final
+    search from s, which misses t -- depends neither on the seed nor on
+    which paths were found.
     """
-    head: list[int] = []
-    base: list[int] = []
-    out: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v, forward, backward in arcs:
-        out[u].append(len(head))
-        out[v].append(len(head) + 1)
-        head += (v, u)
-        base += (forward, backward)
+    def push(path):  # one unit along the node sequence ``path``
+        for u, v in zip(path, path[1:]):
+            a, b = (v, u) if into[u] >> v & 1 else (u, v)  # cancel v -> u first
+            used[a] ^= 1 << b
+            into[b] ^= 1 << a
+            for w in u, v:
+                res[w] = arcs[w] & ~(used[w] & unit[w]) | into[w]
+
     best = None
     for s, t, seed in pairs:
         limit = inf if best is None else best[0]
@@ -225,70 +230,33 @@ def _least_flow(n_nodes: int, arcs, pairs, floor: int = 0):
         value = len(seed)
         if value >= limit:
             continue
-        cap = base.copy()
+        res, used, into = list(arcs), [0] * len(arcs), [0] * len(arcs)
         for path in seed:
-            for a in path:
-                cap[a] -= 1
-                cap[a ^ 1] += 1
+            push(path)
         while value < limit:
-            # layering by residual distance to t, found backwards from t
-            dist = [-1] * n_nodes
-            dist[t] = 0
-            order = [t]
-            for v in order:
-                for a in out[v]:
-                    u = head[a]
-                    if cap[a ^ 1] and dist[u] < 0:
-                        dist[u] = dist[v] + 1
-                        order.append(u)
-                if dist[s] >= 0:
-                    break
-            else:
+            layers = [seen := 1 << s]
+            while not seen >> t & 1 and (level := _spread(res, layers[-1]) & ~seen):
+                seen |= level
+                layers.append(level)
+            if not seen >> t & 1:
                 break
-            # blocking flow: depth-first down the layering, each node
-            # resuming at its current arc; a dead end leaves the layering
-            current = [0] * n_nodes
-            path: list[int] = []
-            u = s
+            layers[-1] = 1 << t
+            path = [s]  # path[k] lies in layers[k]
             while value < limit:
+                u = path[-1]
                 if u == t:
-                    for a in path:
-                        cap[a] -= 1
-                        cap[a ^ 1] += 1
+                    push(path)
                     value += 1
-                    path.clear()
-                    u = s
-                    continue
-                arcs_u = out[u]
-                end = len(arcs_u)
-                i = current[u]
-                below = dist[u] - 1
-                while i < end:
-                    a = arcs_u[i]
-                    if cap[a] and dist[head[a]] == below:
-                        break
-                    i += 1
-                current[u] = i
-                if i < end:
-                    path.append(a)
-                    u = head[a]
+                    path = [s]
+                elif live := res[u] & layers[len(path)]:
+                    path.append((live & -live).bit_length() - 1)
                 elif u == s:
                     break
                 else:
-                    dist[u] = -1
-                    u = head[path.pop() ^ 1]
-                    current[u] += 1
+                    path.pop()
+                    layers[len(path)] ^= 1 << u
         if value < limit:
-            # the final residual search from s, which misses t
-            side = {s}
-            queue = [s]
-            for u in queue:
-                for a in out[u]:
-                    v = head[a]
-                    if cap[a] and v not in side:
-                        side.add(v)
-                        queue.append(v)
-            best = value, side
+            best = value, reach(res, 1 << s, (1 << len(arcs)) - 1)
     return best
 
 
@@ -299,9 +267,13 @@ def vertex_connectivity(g: Graph):
     Complete graphs have connectivity n-1 and no cut (witness None).
     Schedule (Esfahanian-Hakimi): a fixed minimum-degree vertex against all
     its non-neighbors, plus all nonadjacent pairs among its neighbors. Each
-    pair is a flow on the split graph: w_in = 2w, w_out = 2w+1, a unit arc
-    w_in -> w_out, and arcs of capacity n+1 along the edges. No augmenting
-    path enters s_in or t_out, so the unit arcs of s and t never bind.
+    pair is a flow from s_out to t_in on the split graph: w_in = w,
+    w_out = n + w, a unit arc w_in -> w_out, and an unbounded arc i_out ->
+    j_in per edge, so w_out has the arcs ``adj[w]``. Only unit arcs bind,
+    so the minimal cut is the vertices whose in-node, not out-node, it
+    holds; unit edge arcs would keep the value but could move the cut onto
+    them. No edge arc carries two units: one unit at most enters i_out if
+    i != s, one at most leaves j_in if j != t, and s, t are not adjacent.
 
     The pairs of the schedule are never adjacent, so each common neighbour
     w of s and t gives the path s_out -> w_in -> w_out -> t_in; these
@@ -314,37 +286,30 @@ def vertex_connectivity(g: Graph):
         raise EmptyGraphError("vertex connectivity needs at least 2 vertices")
     if g.is_complete():
         return g.n - 1, None
-    adj = g.adj
-    v = min(range(g.n), key=lambda u: adj[u].bit_count())
-    pairs = [(v, u) for u in range(g.n) if u != v and not adj[v] >> u & 1]
+    n, adj = g.n, g.adj
+    v = min(range(n), key=lambda u: adj[u].bit_count())
+    pairs = [(v, u) for u in range(n) if u != v and not adj[v] >> u & 1]
     pairs += [(a, b) for a, b in itertools.combinations(_bits(adj[v]), 2)
               if not adj[a] >> b & 1]
-    big = g.n + 1
-    arcs = [(2 * w, 2 * w + 1, 1, 0) for w in range(g.n)]
-    arcs += [(2 * i + 1, 2 * j, big, 0) for i, mask in enumerate(adj) for j in _bits(mask)]
-    first = list(itertools.accumulate((mask.bit_count() for mask in adj), initial=g.n))
-
-    def into(i, j):  # the arc i_out -> j_in; i's arcs follow its neighbours in order
-        return 2 * (first[i] + (adj[i] & ((1 << j) - 1)).bit_count())
-
-    def seeded(s, t):
-        common = _bits(adj[s] & adj[t])
-        return 2 * s + 1, 2 * t, [(into(s, k), 2 * k, into(k, t)) for k in common]
-
-    best, flow_side = _least_flow(2 * g.n, arcs, itertools.starmap(seeded, pairs),
-                                  floor=1 if is_connected(g) else 0)
-    cut = [i for i in range(g.n) if 2 * i in flow_side and 2 * i + 1 not in flow_side]
-    alive = (1 << g.n) - 1 - sum(1 << i for i in cut)
+    splits = [1 << (n + w) for w in range(n)]
+    seeded = ((n + s, t, [(n + s, w, n + w, t) for w in _bits(adj[s] & adj[t])])
+              for s, t in pairs)
+    best, side = _least_flow(splits + list(adj), splits + [0] * n, seeded,
+                             floor=1 if is_connected(g) else 0)
+    alive = (1 << n) - 1
+    cut = side & ~(side >> n) & alive
+    alive ^= cut
     if alive and reach(adj, alive & -alive, alive) == alive:
         raise AssertionError("vertex cut witness failed re-verification")
-    return best, tuple(g.vertices[i] for i in cut)
+    return best, tuple(g.vertices[i] for i in _bits(cut))
 
 
 @_kept_on_graph
 def edge_connectivity(g: Graph):
     """Global edge connectivity with a minimum edge cut witness: the least
-    flow from the first vertex to each other one, one arc pair of capacity
-    (1, 1) per edge.
+    flow from the first vertex to each other one, with two opposite unit
+    arcs per edge, so ``g.adj`` is both ``arcs`` and ``unit``. The cut is
+    the edges leaving the source side.
 
     By Whitney, kappa <= lambda, so the pair loop stops once the least
     value reaches the kept ``vertex_connectivity``: no later pair can be
@@ -353,11 +318,9 @@ def edge_connectivity(g: Graph):
     """
     if g.n < 2:
         raise EmptyGraphError("edge connectivity needs at least 2 vertices")
-    pairs = _pairs(g.adj)
     kappa = vertex_connectivity(g)[0]
-    best, flow_side = _least_flow(
-        g.n, [(i, j, 1, 1) for i, j in pairs], ((0, t, ()) for t in range(1, g.n)), kappa)
-    cut = [(i, j) for i, j in pairs if (i in flow_side) != (j in flow_side)]
+    best, side = _least_flow(g.adj, g.adj, ((0, t, ()) for t in range(1, g.n)), kappa)
+    cut = [(i, j) for i, j in _pairs(g.adj) if (side >> i ^ side >> j) & 1]
     remaining = list(g.adj)
     for i, j in cut:
         remaining[i] &= ~(1 << j)
@@ -744,16 +707,21 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def format_graph_text(g: Graph) -> str:
+    """The graph as ``parse_graph_text`` reads it back: each edge in an
+    order whose first token is neither "v" nor a comment, then "v X" per
+    isolated vertex. A label that is not one token cannot be written."""
+    for w in map(str, g.vertices):
+        if w.split() != [w]:
+            raise InputError(f"label {w!r} cannot be written as a graph token")
     lines = []
-    for u, v in g.edges:
-        if str(u) == "v":  # avoid colliding with the isolated-vertex marker
-            u, v = v, u
-        lines.append(f"{u} {v}")
-    covered = {w for e in g.edges for w in e}
-    for w in g.vertices:
-        if w not in covered:
-            lines.append(f"v {w}")
-    return "\n".join(str(x) for x in lines) + ("\n" if lines else "")
+    for edge in g.edges:
+        readable = [f"{a} {b}" for a, b in (edge, edge[::-1])
+                    if str(a) != "v" and not str(a).startswith("#")]
+        if not readable:
+            raise InputError(f"edge {edge!r} cannot be written as a graph line")
+        lines.append(readable[0])
+    lines += [f"v {w}" for w, mask in zip(g.vertices, g.adj) if not mask]
+    return "".join(line + "\n" for line in lines)
 
 
 def read_graph_file(path) -> Graph:

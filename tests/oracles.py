@@ -2,8 +2,8 @@
 
 Nothing here shares code paths with the implementations under test: ranks
 come from plain fraction Gaussian elimination or minor scans, connectivity
-from exhaustive cut enumeration, h-vectors from literal monomial counting,
-and so on. Oracles are only meant for desk-scale inputs.
+from exhaustive cut enumeration or networkx flows, h-vectors from literal
+monomial counting, and so on. Oracles are only meant for desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -209,6 +209,16 @@ def _source_closest(cuts):
     return cut
 
 
+def _vertex_schedule(g: Graph):
+    """The pairs ``vertex_connectivity`` documents, in its order: a
+    minimum-degree vertex (the first such) against its non-neighbours, then
+    the nonadjacent pairs among its neighbours."""
+    v = min(g.vertices, key=lambda u: (g.degree(u), g.vertices.index(u)))
+    pairs = [(v, u) for u in g.vertices if u != v and not g.has_edge(u, v)]
+    return pairs + [(a, b) for a, b in itertools.combinations(g.neighbors(v), 2)
+                    if not g.has_edge(a, b)]
+
+
 def bf_vertex_cut_witness(g: Graph):
     """(kappa, cut) as ``vertex_connectivity`` documents them, by subset
     enumeration: over the pairs of its schedule, the first pair of least
@@ -216,12 +226,8 @@ def bf_vertex_cut_witness(g: Graph):
     s-side is inclusion-minimal; (n-1, None) for complete graphs."""
     if g.is_complete():
         return g.n - 1, None
-    v = min(g.vertices, key=lambda u: (g.degree(u), g.vertices.index(u)))
-    pairs = [(v, u) for u in g.vertices if u != v and not g.has_edge(u, v)]
-    pairs += [(a, b) for a, b in itertools.combinations(g.neighbors(v), 2)
-              if not g.has_edge(a, b)]
     best = None
-    for s, t in pairs:
+    for s, t in _vertex_schedule(g):
         others = [w for w in g.vertices if w not in (s, t)]
         for size in range(len(others) + 1):
             sides = [(_side_of(g, s, set(cut)), cut)
@@ -253,6 +259,62 @@ def bf_edge_cut_witness(g: Graph):
         if best is None or value < best[0]:
             best = value, _source_closest([c for c in cuts if len(c[1]) == value])
     return best
+
+
+def _nx_least_cut(digraph, pairs, cut_of):
+    """Over (s, t) ``pairs`` of the networkx ``digraph``, the first pair of
+    least max-flow value (Edmonds-Karp) with ``cut_of`` applied to the
+    residual reach set of s, the source-closest minimum cut."""
+    from networkx.algorithms.flow import edmonds_karp
+
+    best = None
+    for s, t in pairs:
+        residual = edmonds_karp(digraph, s, t)
+        value = residual.graph["flow_value"]
+        if best is None or value < best[0]:
+            side, stack = {s}, [s]
+            while stack:
+                for w, arc in residual[stack.pop()].items():
+                    if arc["capacity"] > arc["flow"] and w not in side:
+                        side.add(w)
+                        stack.append(w)
+            best = value, cut_of(side)
+    return best
+
+
+def nx_vertex_cut_witness(g: Graph):
+    """``bf_vertex_cut_witness`` by networkx max-flows instead of subset
+    enumeration: the same schedule, each pair a flow from s_out to t_in on
+    the split digraph (capacity 1 on w_in -> w_out, n + 1 on the edge
+    arcs), so it scales past brute-force size."""
+    import networkx as nx
+
+    if g.is_complete():
+        return g.n - 1, None
+    split = nx.DiGraph()
+    split.add_edges_from((((w, "in"), (w, "out")) for w in g.vertices), capacity=1)
+    for a, b in g.edges:
+        split.add_edge((a, "out"), (b, "in"), capacity=g.n + 1)
+        split.add_edge((b, "out"), (a, "in"), capacity=g.n + 1)
+    return _nx_least_cut(
+        split, [((s, "out"), (t, "in")) for s, t in _vertex_schedule(g)],
+        lambda side: tuple(w for w in g.vertices
+                           if (w, "in") in side and (w, "out") not in side))
+
+
+def nx_edge_cut_witness(g: Graph):
+    """``bf_edge_cut_witness`` by networkx max-flows on the digraph with
+    two opposite unit arcs per edge."""
+    import networkx as nx
+
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(g.vertices)
+    digraph.add_edges_from(g.edges, capacity=1)
+    digraph.add_edges_from(((b, a) for a, b in g.edges), capacity=1)
+    s = g.vertices[0]
+    return _nx_least_cut(digraph, [(s, t) for t in g.vertices[1:]],
+                         lambda side: tuple(e for e in g.edges
+                                            if (e[0] in side) != (e[1] in side)))
 
 
 def bf_diameter(g: Graph):

@@ -278,6 +278,21 @@ def test_graph_file_vertex_named_v():
     assert set(back.vertices) == {"v", "x"} and back.m == 1
 
 
+def test_graph_file_keeps_edges_whose_first_label_looks_like_a_comment():
+    g = parse_graph_text("b #a\nc #a\n")
+    back = parse_graph_text(format_graph_text(g))
+    assert {frozenset(e) for e in back.edges} == {frozenset(e) for e in g.edges}
+    assert back.m == 2
+    with pytest.raises(InputError):
+        format_graph_text(Graph.from_edges([("v", "#a")]))
+
+
+def test_graph_file_rejects_labels_that_are_not_one_token():
+    for label in ("a b", "", "tab\there"):
+        with pytest.raises(InputError):
+            format_graph_text(Graph.from_edges([(label, "x")]))
+
+
 def test_connectivity_matches_bruteforce_small():
     import itertools
     import random
@@ -348,12 +363,12 @@ def test_dense_graphs_report_the_source_closest_cut_of_the_first_least_pair(g, m
     seeds = []
     least_flow = graphs._least_flow
 
-    def spy(n_nodes, arcs, pairs, floor=0):
+    def spy(arcs, unit, pairs, floor=0):
         def seen():
             for s, t, seed in pairs:
                 seeds.append(len(seed))
                 yield s, t, seed
-        return least_flow(n_nodes, arcs, seen(), floor)
+        return least_flow(arcs, unit, seen(), floor)
 
     monkeypatch.setattr(graphs, "_least_flow", spy)
     assert vertex_connectivity(g) == bf_vertex_cut_witness(g)
@@ -365,15 +380,15 @@ def test_vertex_connectivity_of_a_connected_graph_stops_at_a_pair_of_value_one(m
     least_flow = graphs._least_flow
     consumed = []
 
-    def counting(n_nodes, arcs, pairs, floor=0):
+    def counting(arcs, unit, pairs, floor=0):
         def seen():
             for pair in pairs:
                 consumed.append(pair)
                 yield pair
-        return least_flow(n_nodes, arcs, seen(), floor)
+        return least_flow(arcs, unit, seen(), floor)
 
     monkeypatch.setattr(graphs, "_least_flow",
-                        lambda n_nodes, arcs, pairs, floor=0: least_flow(n_nodes, arcs, pairs))
+                        lambda arcs, unit, pairs, floor=0: least_flow(arcs, unit, pairs))
     unfloored = vertex_connectivity(path_graph(40))
     monkeypatch.setattr(graphs, "_least_flow", counting)
     # the same least pair and cut as a schedule run to its end; of the 38
@@ -394,6 +409,18 @@ def test_connectivity_values_match_networkx_beyond_brute_force_size():
         assert edge_connectivity(g)[0] == nx.edge_connectivity(h)
         assert diameter(g) == nx.diameter(h)
     assert diameter(hypercube_graph(10)) == 10
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(gnp_graph(n, p, 1), id=f"G({n},{p})")
+    for n, p in itertools.product((20, 40), (0.1, 0.3, 0.5, 0.9))
+] + [pytest.param(hypercube_graph(6), id="Q6"),
+     pytest.param(complete_bipartite(12, 12), id="K12,12")])
+def test_connectivity_cuts_match_networkx_flows_beyond_brute_force_size(g):
+    from oracles import nx_edge_cut_witness, nx_vertex_cut_witness
+
+    assert vertex_connectivity(g) == nx_vertex_cut_witness(g)
+    assert edge_connectivity(g) == nx_edge_cut_witness(g)
 
 
 def test_dual_graph_of_join_is_product():
