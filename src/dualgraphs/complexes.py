@@ -176,29 +176,22 @@ class SimplicialComplex:
         return any(f & mask == mask for f in self.facets)
 
     @cached_property
-    def ridge_pairs(self) -> frozenset[tuple[int, int]]:
-        """Facet-index pairs (i, j), i < j, of facets that differ in exactly
-        one vertex each; on a pure complex, the edges of the dual graph.
-        Such a pair shares exactly one ridge: facets are grouped by ridge."""
+    def ridge_neighbors(self) -> tuple[int, ...]:
+        """The facet adjacency as masks: bit j of ``ridge_neighbors[i]`` is
+        set when facets i and j differ in exactly one vertex each, so on a
+        pure complex it is the dual graph's ``Graph.adj``. Such a pair
+        shares exactly one ridge: facets are grouped by ridge."""
         sharing: dict[int, list[int]] = {}
         for j, f in enumerate(self.facets):
             for v in range(f.bit_length()):
                 if f >> v & 1:
                     sharing.setdefault(f ^ 1 << v, []).append(j)
-        return frozenset((i, j) for js in sharing.values() for k, j in enumerate(js)
-                         for i in js[:k])
-
-    @cached_property
-    def ridge_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """For each facet index, the ascending indices of the facets that
-        share a ridge with it (``ridge_pairs`` as adjacency lists), built
-        once for the non-revisiting search, the monotone marking and the
-        greedy shelling."""
-        adj: list[list[int]] = [[] for _ in self.facets]
-        for i, j in sorted(self.ridge_pairs):
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(map(tuple, adj))
+        adj = [0] * len(self.facets)
+        for js in sharing.values():
+            group = sum(1 << j for j in js)
+            for j in js:
+                adj[j] |= group ^ 1 << j
+        return tuple(adj)
 
     @cached_property
     def faces(self) -> frozenset[int]:
@@ -226,10 +219,12 @@ class SimplicialComplex:
 
     @cached_property
     def memo(self) -> dict:
-        """Results derived from this complex, under keys the deriving code
-        chooses: ``core`` keeps the core here, ``homology`` its Betti
-        profiles, link sweeps and shelling, ``graphs`` its non-revisiting
-        verdict. They live and die with this instance."""
+        """Results derived from this complex, by key: ``"core"``, the core;
+        ``("link", field)`` and ``("restriction", field)``, Betti profiles
+        of links and restrictions; ``("reisner", field)``, the
+        Cohen-Macaulay and sphere verdicts; ``"shelling"``, the greedy
+        shelling; ``"nonrevisiting"``, the non-revisiting verdict. They
+        live and die with this instance."""
         return {}
 
     @cached_property

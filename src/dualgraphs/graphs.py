@@ -421,7 +421,7 @@ def dual_adjacency(cx: SimplicialComplex) -> frozenset[tuple[int, int]]:
         raise EmptyGraphError("the void complex has no dual graph")
     if not cx.is_pure:
         raise NonPureComplexError("the dual graph requires a pure complex")
-    return cx.ridge_pairs
+    return frozenset(_pairs(cx.ridge_neighbors))
 
 
 def dual_graph(cx: SimplicialComplex) -> Graph:
@@ -444,10 +444,9 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
     drops only vertices outside G and adds only vertices of G, so a dropped
     vertex never comes back: the path is non-revisiting. Each step changes
     one vertex, so its length |F \\ G| is the least any dual path can have,
-    and this search returns a path of exactly that length.
-    ``monotone_starts`` finds every F with a monotone path to G in one pass,
-    and ``first_pair_without_nonrevisiting_path`` searches only the pairs
-    it leaves open.
+    and this search returns a path of exactly that length. So
+    ``first_pair_without_nonrevisiting_path`` searches only the pairs whose
+    dual distance exceeds |F \\ G|.
     """
     if not cx.is_pure:
         raise NonPureComplexError("non-revisiting search requires a pure complex")
@@ -475,7 +474,7 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
                 path.append(cx.labels_of(facets[cur[0]]))
                 cur = parent[cur]
             return tuple(reversed(path))
-        for j in adj[fi]:
+        for j in _bits(adj[fi]):
             fj = facets[j]
             if fj & abandoned:
                 continue
@@ -486,43 +485,34 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
     return None
 
 
-def monotone_starts(cx: SimplicialComplex, goal: int) -> frozenset[int]:
-    """Indices of the facets F joined to facet ``goal`` = G by a monotone
-    dual path (see ``non_revisiting_path``), G itself included.
-
-    A step from F to a neighbour F' is monotone exactly when |F' \\ G| =
-    |F \\ G| - 1, so one pass over the facets in increasing |F \\ G| marks
-    F when one of its neighbours one step closer is marked.
-    """
-    facets = cx.facets
-    goal_mask = facets[goal]
-    away = [(f & ~goal_mask).bit_count() for f in facets]
-    marked = [False] * len(facets)
-    marked[goal] = True
-    for i in sorted(range(len(facets)), key=away.__getitem__):
-        if not marked[i]:
-            marked[i] = any(marked[j] and away[j] == away[i] - 1
-                            for j in cx.ridge_neighbors[i])
-    return frozenset(i for i, m in enumerate(marked) if m)
-
-
 def first_pair_without_nonrevisiting_path(cx: SimplicialComplex):
     """The first facet pair, in ``itertools.combinations`` order of the
     facets, that no non-revisiting dual path joins, as two label tuples;
     None when every pair is joined.
 
-    A pair whose start has a monotone path to its goal is settled without a
-    search; only the others go to ``non_revisiting_path``. The verdict does
-    not depend on a field, so it is kept on ``cx``.
+    A dual step swaps one vertex for another, so a dual path from F to G
+    has at least |F \\ G| steps, and has exactly that many only when it is
+    monotone, hence non-revisiting (see ``non_revisiting_path``). One BFS
+    from each goal G, level by level on ``cx.ridge_neighbors``, settles
+    every start F on level |F \\ G|; only the other pairs, unreached starts
+    included, go to ``non_revisiting_path``, in sorted order. The verdict
+    does not depend on a field, so it is kept on ``cx``.
     """
     if "nonrevisiting" not in cx.memo:
         if not cx.is_pure:
             raise NonPureComplexError("non-revisiting search requires a pure complex")
-        facets = cx.facets
+        facets, adj = cx.facets, cx.ridge_neighbors
         open_pairs = []
-        for j in range(len(facets)):
-            marks = monotone_starts(cx, j)
-            open_pairs += [(i, j) for i in range(j) if i not in marks]
+        for j, goal in enumerate(facets):
+            levels = [seen := 1 << j]
+            while level := _spread(adj, levels[-1]) & ~seen:
+                seen |= level
+                levels.append(level)
+            starts = (1 << j) - 1
+            open_pairs += [(i, j) for i in _bits(starts & ~seen)]
+            open_pairs += [(i, j) for k, level in enumerate(levels)
+                           for i in _bits(level & starts)
+                           if (facets[i] & ~goal).bit_count() < k]
         missing = None
         for i, j in sorted(open_pairs):
             pair = cx.labels_of(facets[i]), cx.labels_of(facets[j])

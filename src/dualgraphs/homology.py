@@ -65,7 +65,7 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex
 from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, NonPureComplexError, ResourceCapError
 from .errors import VoidComplexError
-from .graphs import reach
+from .graphs import _bits, reach
 from .linalg import QQ, FieldSpec, rank, rank_gf2_columns
 
 #: GF(2): every Betti profile over Q is first computed over it.
@@ -204,7 +204,7 @@ def greedy_shelling(cx: SimplicialComplex) -> tuple[int, ...] | None:
             order.append(nxt)
             h[restriction[nxt].bit_count()] += 1
             fp = facets[nxt]
-            for j in cx.ridge_neighbors[nxt]:
+            for j in _bits(cx.ridge_neighbors[nxt]):
                 v = facets[j] & ~fp
                 if not placed[j] and not restriction[j] & v:
                     restriction[j] |= v
@@ -228,9 +228,9 @@ def _every_ridge_in_two_facets(cx: SimplicialComplex) -> bool:
     """Each facet has one dual neighbour across each of its ridges."""
     for f, neighbors in zip(cx.facets, cx.ridge_neighbors):
         dropped = 0
-        for j in neighbors:
+        for j in _bits(neighbors):
             dropped |= f & ~cx.facets[j]
-        if len(neighbors) != f.bit_count() or dropped != f:
+        if neighbors.bit_count() != f.bit_count() or dropped != f:
             return False
     return True
 
@@ -301,7 +301,7 @@ def is_normal(cx: SimplicialComplex) -> bool:
     ``cx.ridge_neighbors`` -- and every star must stay connected that way.
     Each star, a bitmask of facet indices, is the AND of its vertices'
     stars, and ``graphs.reach`` floods it from its lowest facet along the
-    facets' neighbour bitmasks.
+    ridge masks.
     """
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
@@ -310,7 +310,6 @@ def is_normal(cx: SimplicialComplex) -> bool:
     facets = cx.facets
     vertex_stars = [sum(1 << i for i, f in enumerate(facets) if f >> v & 1)
                     for v in range(cx.n_vertices)]
-    around = [sum(1 << j for j in nbrs) for nbrs in cx.ridge_neighbors]
     for mask in cx.faces:
         star = (1 << len(facets)) - 1
         rest = mask
@@ -318,7 +317,7 @@ def is_normal(cx: SimplicialComplex) -> bool:
             low = rest & -rest
             star &= vertex_stars[low.bit_length() - 1]
             rest ^= low
-        if reach(around, star & -star, star) != star:
+        if reach(cx.ridge_neighbors, star & -star, star) != star:
             return False
     return True
 

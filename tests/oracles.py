@@ -404,6 +404,28 @@ def bf_nonrevisiting_exists(cxv: SimplicialComplex, f1, f2) -> bool:
     return walk(i1, {i1}, 0)
 
 
+def monotone_starts(cxv: SimplicialComplex, goal: int) -> frozenset[int]:
+    """Indices of the facets F joined to facet ``goal`` = G by a monotone
+    dual path (each step drops a vertex outside G and adds one of G), G
+    itself included; neighbours are the facets whose symmetric difference
+    with F has two vertices.
+
+    A step from F to a neighbour F' is monotone exactly when |F' \\ G| =
+    |F \\ G| - 1, so one pass over the facets in increasing |F \\ G| marks
+    F when one of its neighbours one step closer is marked.
+    """
+    facets = cxv.facets
+    neighbors = [[j for j, h in enumerate(facets) if (f ^ h).bit_count() == 2]
+                 for f in facets]
+    away = [(f & ~facets[goal]).bit_count() for f in facets]
+    marked = [False] * len(facets)
+    marked[goal] = True
+    for i in sorted(range(len(facets)), key=away.__getitem__):
+        if not marked[i]:
+            marked[i] = any(marked[j] and away[j] == away[i] - 1 for j in neighbors[i])
+    return frozenset(i for i, m in enumerate(marked) if m)
+
+
 def all_pairs_nonrevisiting_verdict(g: Graph, cxv: SimplicialComplex):
     """(passed, detail) of the report check ``flag_cm_nonrevisiting`` on the
     dual graph ``g`` of ``cxv``, by the exact search on every facet pair in

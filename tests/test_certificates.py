@@ -17,7 +17,6 @@ from dualgraphs.complexes import SimplicialComplex, crosspolytope_boundary
 from dualgraphs.graphs import (
     dual_graph,
     first_pair_without_nonrevisiting_path,
-    monotone_starts,
     non_revisiting_path,
 )
 from dualgraphs.linalg import QQ, prime_field
@@ -28,6 +27,7 @@ from oracles import (
     bf_nonrevisiting_exists,
     bf_reisner,
     cx,
+    monotone_starts,
     pure_families,
 )
 from test_properties import pure_complexes
@@ -113,6 +113,31 @@ def test_monotone_marks_are_shortest_nonrevisiting_paths(c, data):
         assert (i in marks) == (path is not None and len(path) - 1 == away)
         if i in marks:
             assert bf_nonrevisiting_exists(c, f, goal_labels)
+
+
+@given(pure_complexes(max_vertices=6, max_facets=8))
+@example(cx([{1, 2}, {3, 4}]))
+def test_the_verdict_searches_exactly_the_pairs_monotone_paths_leave_open(c):
+    from dualgraphs import graphs
+
+    labels = c.facet_labels()
+    open_pairs = sorted((i, j) for j in range(len(labels))
+                        for i in range(j) if i not in monotone_starts(c, j))
+    expected, missing = [], None
+    for i, j in open_pairs:  # up to and including the first missing pair
+        expected.append((labels[i], labels[j]))
+        if not bf_nonrevisiting_exists(c, labels[i], labels[j]):
+            missing = expected[-1]
+            break
+    calls = []
+    search = graphs.non_revisiting_path
+    c.memo.pop("nonrevisiting", None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "non_revisiting_path",
+                   lambda cxv, *pair: calls.append(pair) or search(cxv, *pair))
+        verdict = first_pair_without_nonrevisiting_path(c)
+    assert calls == expected
+    assert verdict == missing
 
 
 @given(pure_complexes(max_vertices=6, max_facets=8))

@@ -334,10 +334,12 @@ def test_dual_adjacency_is_symmetric_difference_two(c):
 
 
 @given(complexes(max_vertices=6, max_facets=10))
-def test_ridge_pairs_are_the_facets_differing_in_one_vertex_each_pure_or_not(c):
+def test_ridge_neighbors_are_the_facets_differing_in_one_vertex_each_pure_or_not(c):
     facets = c.facets
-    assert c.ridge_pairs == {(i, j) for i, j in itertools.combinations(range(len(facets)), 2)
-                             if (facets[i] ^ facets[j]).bit_count() == 2}
+    assert c.ridge_neighbors == tuple(
+        sum(1 << j for j, h in enumerate(facets) if (f ^ h).bit_count() == 2) for f in facets)
+    if c.is_pure:
+        assert dual_graph(c).adj == c.ridge_neighbors
 
 
 @given(st.one_of(pure_complexes(), spheres()))
