@@ -7,8 +7,11 @@ exceeded.
 
 Every command is a process of its own, so loading the package is part of
 every run. Hence the rule: a module imports at top level only what every one
-of its callers needs. Here that is ``errors``, which also holds the parser's
-defaults and family names; each ``_run_*`` imports its command's modules.
+of its callers needs, standard library included. Here that is ``errors``,
+which also holds the parser's defaults and family names; each ``_run_*``
+imports its command's modules, ``_finish`` imports the text renderer only
+for ``--format text``, and ``linalg`` imports ``fractions`` only in the
+parsers that read rationals.
 """
 
 from __future__ import annotations
@@ -82,11 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _finish(report: dict, args) -> int:
     """Print ``report`` in the chosen format; return the exit code."""
-    from .reports import STATUS_FAIL, STATUS_NA, render_text
+    from .reports import STATUS_FAIL, STATUS_NA
 
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
+        from .reports.text import render_text
+
         print(render_text(report), end="")
     if not args.strict:
         return EXIT_OK

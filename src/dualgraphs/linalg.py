@@ -4,7 +4,10 @@ Ranks and nullities drive every height, homology, and incidence computation
 in this package, so everything here is exact: arbitrary-precision integers,
 no floats. Rationals appear only at the input boundary, where
 ``integer_vector`` turns each rational vector into its primitive integer
-multiple; every matrix below has integer entries.
+multiple; every matrix below has integer entries. ``Fraction`` loads with
+those input-boundary parsers (``parse_rational``, ``integer_vector``), so a
+command with no rational input (``analyze-complex``, ``check-graph``,
+``generate``) never loads ``fractions`` or ``decimal``.
 
 There is one dense elimination, ``rref``: fraction-free Gauss-Jordan over
 Z. ``nullspace`` reads the rank and an integer kernel basis off it, and
@@ -39,7 +42,6 @@ from __future__ import annotations
 import heapq
 import re
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -125,6 +127,8 @@ def parse_rational(x, what: str) -> int | Fraction:
     """
     if isinstance(x, int) and not isinstance(x, bool):
         return x
+    from fractions import Fraction
+
     if isinstance(x, Fraction) or isinstance(x, str) and not _NOT_PY310_RATIONAL.search(x):
         try:
             return Fraction(x)
@@ -153,6 +157,8 @@ def integer_vector(vec) -> tuple[int, ...]:
     a primitive integer vector keeps its int objects. An entry that is not
     an int or a Fraction is a TypeError.
     """
+    from fractions import Fraction
+
     for x in vec:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"entry {x!r} is not an exact rational")

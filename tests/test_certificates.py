@@ -20,7 +20,7 @@ from dualgraphs.graphs import (
     non_revisiting_path,
 )
 from dualgraphs.linalg import QQ, prime_field
-from dualgraphs.reports import _verify_nonrevisiting
+from dualgraphs.reports.complexes import _verify_nonrevisiting
 from oracles import (
     all_pairs_nonrevisiting_verdict,
     bf_is_shelling,

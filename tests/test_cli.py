@@ -354,8 +354,9 @@ def test_help_text(capsys, command, expected):
     assert all(text in out for text in expected)
 
 
-#: Reports the package modules and whether ``dataclasses`` were loaded by a
-#: command run in a fresh interpreter (its report output is discarded).
+#: Reports the package modules, and which of a few standard-library modules,
+#: were loaded by a command run in a fresh interpreter (its report output is
+#: discarded).
 _LOADED = """
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -364,7 +365,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = set(sys.modules) - before
 print(json.dumps([code, sorted(m[len("dualgraphs."):] for m in loaded
-                               if m.startswith("dualgraphs.")), "dataclasses" in loaded]))
+                               if m.startswith("dualgraphs.")),
+                  sorted(loaded & {"dataclasses", "decimal", "fractions"})]))
 """
 
 
@@ -378,24 +380,40 @@ def _loaded_by(*argv, code=_LOADED):
 
 _BASE = {"cli", "errors", "graphs", "reports"}
 
+#: Each analysis command, the modules it loads besides ``_BASE`` with
+#: ``--format json``, and whether it parses rationals (and so may load
+#: ``fractions``, which loads ``decimal``).
+_ANALYSES = {
+    "check-graph": (["check-graph", "{tmp}/q3.edges"], {"reports.graphs"}, False),
+    "analyze-lines": (["analyze-lines", str(SAMPLES / "four_lines_p2.json")],
+                      {"lines", "linalg", "reports.lines"}, True),
+    "analyze-arrangement": (["analyze-arrangement", str(SAMPLES / "nonhirsch_arrangement.json")],
+                            {"arrangements", "linalg", "reports.arrangements"}, True),
+    "analyze-complex": (["analyze-complex", "{tmp}/x2.facets"],
+                        {"complexes", "homology", "linalg", "reports.complexes"}, False),
+}
 
-@pytest.mark.parametrize("argv, modules", [
-    (["check-graph", "{tmp}/q3.edges"], _BASE),
-    (["analyze-lines", str(SAMPLES / "four_lines_p2.json")], _BASE | {"lines", "linalg"}),
-    (["analyze-arrangement", str(SAMPLES / "nonhirsch_arrangement.json")],
-     _BASE | {"arrangements", "linalg"}),
-    (["analyze-complex", "{tmp}/x2.facets"], _BASE | {"complexes", "homology", "linalg"}),
-    (["generate", "hypercube", "3"], {"cli", "errors", "graphs"}),
-    (["generate", "crosspolytope", "2"], {"cli", "errors", "complexes"}),
-], ids=["check-graph", "analyze-lines", "analyze-arrangement", "analyze-complex",
-        "generate-graph", "generate-complex"])
-def test_each_command_loads_only_its_modules(capsys, tmp_path, argv, modules):
+
+@pytest.mark.parametrize("argv, modules, rationals", [
+    pytest.param([*argv, "--format", fmt], _BASE | modules | renderer, rationals,
+                 id=f"{name}-{fmt}")
+    for name, (argv, modules, rationals) in _ANALYSES.items()
+    for fmt, renderer in (("json", set()), ("text", {"reports.text"}))
+] + [
+    pytest.param(["generate", "hypercube", "3"], {"cli", "errors", "graphs"}, False,
+                 id="generate-graph"),
+    pytest.param(["generate", "crosspolytope", "2"], {"cli", "errors", "complexes"}, False,
+                 id="generate-complex"),
+])
+def test_each_command_loads_only_its_modules(capsys, tmp_path, argv, modules, rationals):
     run(capsys, "generate", "hypercube", "3", "--out", str(tmp_path / "q3.edges"))
     run(capsys, "generate", "crosspolytope", "2", "--out", str(tmp_path / "x2.facets"))
-    code, loaded, dataclasses = _loaded_by(*(a.format(tmp=tmp_path) for a in argv))
+    code, loaded, stdlib = _loaded_by(*(a.format(tmp=tmp_path) for a in argv))
     assert code == 0
     assert set(loaded) == modules
-    assert not dataclasses
+    assert "dataclasses" not in stdlib
+    if not rationals:
+        assert stdlib == []
 
 
 def test_importing_the_package_loads_no_module():
