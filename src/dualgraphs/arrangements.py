@@ -50,6 +50,7 @@ from .graphs import (
     dual_adjacency,
     hirsch_verdict,
     is_k_connected,
+    kept,
     vertex_connectivity,
 )
 from .linalg import (
@@ -100,8 +101,8 @@ class SubspaceArrangement:
     component and a rank-one test per pair, skipped when the pair's
     Pluecker marks are lines of P^3 that do not meet: an edge or a shared
     row space makes their planes U_i, U_j meet by a dimension count, so the
-    stacked rank is then h + 2 or more (module docstring). The dual graph
-    is built from the edges on first use and kept on the instance.
+    stacked rank is then h + 2 or more (module docstring). ``graphs.kept``
+    keeps the dual graph, built from the edges on first use, in ``memo``.
     """
 
     def __init__(self, n_vars: int, components):
@@ -150,7 +151,7 @@ class SubspaceArrangement:
             i, j = min(same)
             raise InputError(f"components {i + 1} and {j + 1} have the same row space")
         self._heights = tuple(heights)
-        self._dual_graph = None
+        self.memo: dict = {}
 
     @property
     def n_components(self) -> int:
@@ -189,14 +190,13 @@ def dual_edge_indices(arr: SubspaceArrangement) -> set[tuple[int, int]]:
     return set(arr._adjacent_pairs)
 
 
+@kept
 def dual_graph(arr: SubspaceArrangement) -> Graph:
     """Dual graph on components 1..s, edges where the pairwise sum has
     height exactly one more than the common height."""
-    if arr._dual_graph is None:
-        labels = [str(i + 1) for i in range(arr.n_components)]
-        edges = [(labels[i], labels[j]) for i, j in sorted(dual_edge_indices(arr))]
-        arr._dual_graph = Graph(labels, edges)
-    return arr._dual_graph
+    labels = [str(i + 1) for i in range(arr.n_components)]
+    edges = [(labels[i], labels[j]) for i, j in sorted(dual_edge_indices(arr))]
+    return Graph(labels, edges)
 
 
 def from_complex(cx: SimplicialComplex) -> SubspaceArrangement:

@@ -219,12 +219,15 @@ class SimplicialComplex:
 
     @cached_property
     def memo(self) -> dict:
-        """Results derived from this complex, by key: ``"core"``, the core;
-        ``("link", field)`` and ``("restriction", field)``, Betti profiles
-        of links and restrictions; ``("reisner", field)``, the
-        Cohen-Macaulay and sphere verdicts; ``"shelling"``, the greedy
-        shelling; ``"nonrevisiting"``, the non-revisiting verdict. They
-        live and die with this instance."""
+        """Results derived from this complex. ``graphs.kept`` writes the keys
+        ``"dual_graph"``, ``"greedy_shelling"``, ``("_reisner_sweep", field)``
+        and ``"first_pair_without_nonrevisiting_path"``. Two keep their own:
+        ``core`` writes ``"core"``, as this module imports no other of the
+        package, so that ``generate`` stays light, and the benchmark's tracer
+        wraps ``core`` as a method; ``homology._kept_profile`` writes
+        ``("link", field)`` and ``("restriction", field)``, tables of Betti
+        profiles by mask, so that a Q profile can reuse the subcomplex built
+        for its GF(2) profile. All die with this instance."""
         return {}
 
     @cached_property

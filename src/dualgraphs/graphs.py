@@ -19,10 +19,11 @@ any flow stops once it reaches that value, and edge connectivity stops
 once it reaches the vertex connectivity. None of this changes the reported
 value or cut (see ``_least_flow``).
 
-Graphs are immutable after construction, so each invariant -- diameter,
-vertex and edge connectivity with their cuts, the forbidden-pattern
-witness -- is computed once per graph and kept on it. Disconnected
-diameters are the float infinity, never a sentinel integer.
+Graphs, complexes and arrangements never change, so ``kept`` computes a
+value derived from one once and keeps it in the owner's ``memo``: a graph's
+diameter, connectivities with cuts and forbidden-pattern witness; a
+complex's dual graph, shelling and verdicts; an arrangement's dual graph.
+Disconnected diameters are the float infinity, never a sentinel integer.
 """
 
 from __future__ import annotations
@@ -45,17 +46,19 @@ from .errors import (
 )
 
 
-def _kept_on_graph(compute):
-    """Run ``compute(g)`` once per graph and keep its result on the graph."""
+def kept(compute):
+    """Run ``compute(owner, *args)`` once per owner and arguments; keep the
+    result in ``owner.memo`` under its name, or (name, *args) given args."""
     name = compute.__name__
 
     @functools.wraps(compute)
-    def invariant(g):
-        if name not in g._invariants:
-            g._invariants[name] = compute(g)
-        return g._invariants[name]
+    def keeper(owner, *args):
+        key = (name, *args) if args else name
+        if key not in owner.memo:
+            owner.memo[key] = compute(owner, *args)
+        return owner.memo[key]
 
-    return invariant
+    return keeper
 
 
 def _bits(mask: int):
@@ -115,7 +118,7 @@ class Graph:
             adj[j] |= 1 << i
         self.adj = tuple(adj)
         self.edges = tuple((self.vertices[i], self.vertices[j]) for i, j in _pairs(adj))
-        self._invariants: dict = {}
+        self.memo: dict = {}
 
     @classmethod
     def from_edges(cls, edges, isolated=()) -> "Graph":
@@ -159,7 +162,7 @@ def is_connected(g: Graph) -> bool:
     return reach(g.adj, 1, (1 << g.n) - 1).bit_count() == g.n
 
 
-@_kept_on_graph
+@kept
 def diameter(g: Graph) -> int | float:
     """Largest BFS eccentricity; infinity when disconnected, 0 for K1.
 
@@ -260,7 +263,7 @@ def _least_flow(arcs, unit, pairs, floor: int = 0):
     return best
 
 
-@_kept_on_graph
+@kept
 def vertex_connectivity(g: Graph):
     """Global vertex connectivity with a minimum vertex cut witness.
 
@@ -304,7 +307,7 @@ def vertex_connectivity(g: Graph):
     return best, tuple(g.vertices[i] for i in _bits(cut))
 
 
-@_kept_on_graph
+@kept
 def edge_connectivity(g: Graph):
     """Global edge connectivity with a minimum edge cut witness: the least
     flow from the first vertex to each other one, with two opposite unit
@@ -424,6 +427,7 @@ def dual_adjacency(cx: SimplicialComplex) -> frozenset[tuple[int, int]]:
     return frozenset(_pairs(cx.ridge_neighbors))
 
 
+@kept
 def dual_graph(cx: SimplicialComplex) -> Graph:
     """Graph on the facets; edges join facets sharing a codimension-1 face."""
     edges_idx = dual_adjacency(cx)
@@ -485,6 +489,7 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
     return None
 
 
+@kept
 def first_pair_without_nonrevisiting_path(cx: SimplicialComplex):
     """The first facet pair, in ``itertools.combinations`` order of the
     facets, that no non-revisiting dual path joins, as two label tuples;
@@ -498,29 +503,25 @@ def first_pair_without_nonrevisiting_path(cx: SimplicialComplex):
     included, go to ``non_revisiting_path``, in sorted order. The verdict
     does not depend on a field, so it is kept on ``cx``.
     """
-    if "nonrevisiting" not in cx.memo:
-        if not cx.is_pure:
-            raise NonPureComplexError("non-revisiting search requires a pure complex")
-        facets, adj = cx.facets, cx.ridge_neighbors
-        open_pairs = []
-        for j, goal in enumerate(facets):
-            levels = [seen := 1 << j]
-            while level := _spread(adj, levels[-1]) & ~seen:
-                seen |= level
-                levels.append(level)
-            starts = (1 << j) - 1
-            open_pairs += [(i, j) for i in _bits(starts & ~seen)]
-            open_pairs += [(i, j) for k, level in enumerate(levels)
-                           for i in _bits(level & starts)
-                           if (facets[i] & ~goal).bit_count() < k]
-        missing = None
-        for i, j in sorted(open_pairs):
-            pair = cx.labels_of(facets[i]), cx.labels_of(facets[j])
-            if non_revisiting_path(cx, *pair) is None:
-                missing = pair
-                break
-        cx.memo["nonrevisiting"] = missing
-    return cx.memo["nonrevisiting"]
+    if not cx.is_pure:
+        raise NonPureComplexError("non-revisiting search requires a pure complex")
+    facets, adj = cx.facets, cx.ridge_neighbors
+    open_pairs = []
+    for j, goal in enumerate(facets):
+        levels = [seen := 1 << j]
+        while level := _spread(adj, levels[-1]) & ~seen:
+            seen |= level
+            levels.append(level)
+        starts = (1 << j) - 1
+        open_pairs += [(i, j) for i in _bits(starts & ~seen)]
+        open_pairs += [(i, j) for k, level in enumerate(levels)
+                       for i in _bits(level & starts)
+                       if (facets[i] & ~goal).bit_count() < k]
+    for i, j in sorted(open_pairs):
+        pair = cx.labels_of(facets[i]), cx.labels_of(facets[j])
+        if non_revisiting_path(cx, *pair) is None:
+            return pair
+    return None
 
 
 # -- forbidden induced pattern ------------------------------------------------
@@ -540,7 +541,7 @@ def forbidden_pattern() -> Graph:
     return Graph([str(i) for i in range(1, 7)], FORBIDDEN_PATTERN_EDGES)
 
 
-@_kept_on_graph
+@kept
 def contains_forbidden_line_graph(g: Graph):
     """Search for the forbidden 6-vertex pattern as an induced subgraph.
 

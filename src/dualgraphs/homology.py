@@ -44,14 +44,14 @@ counts the facets whose restriction set has i vertices). Only when the
 greedy pass gets stuck -- always on a complex that is not Cohen-Macaulay,
 sometimes on one that is -- does Reisner's link sweep run.
 
-Results are kept on the complex being analysed (``SimplicialComplex.memo``),
-per field: the profile of each link under its face mask in the complex, the
-profile of each restriction the regularity sweep builds under its vertex
-mask, and the Cohen-Macaulay and homology-sphere verdicts of the single
-link sweep that answers both; and, for every field at once, the shelling.
-A Q sweep reads the GF(2) link profiles, so a report over Q and GF(2)
-builds each link once. Nothing is cached at module level: the results die
-with the complex.
+Results are kept in the complex's ``memo``: by ``graphs.kept``, the
+shelling, for every field at once, and per field the Cohen-Macaulay and
+homology-sphere verdicts of the one link sweep that answers both; by
+``_kept_profile``, per field, the Betti profile of each link under its
+face mask and of each restriction the regularity sweep builds under its
+vertex mask. A Q sweep reads the GF(2) link profiles, so a report over Q
+and GF(2) builds each link once. Nothing is cached at module level: the
+results die with the complex.
 
 Torsion is invisible by design -- every question this package asks
 (vanishing below the top dimension, top Betti equal to one, Hochster-style
@@ -65,7 +65,7 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex
 from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, NonPureComplexError, ResourceCapError
 from .errors import VoidComplexError
-from .graphs import _bits, reach
+from .graphs import _bits, kept, reach
 from .linalg import QQ, FieldSpec, rank, rank_gf2_columns
 
 #: GF(2): every Betti profile over Q is first computed over it.
@@ -178,6 +178,7 @@ def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = QQ) -> Betti
     return BettiProfile(cx, field, _link_betti(cx, 0, field))
 
 
+@kept
 def greedy_shelling(cx: SimplicialComplex) -> tuple[int, ...] | None:
     """A shelling order of the facets of the pure complex ``cx``, as facet
     indices, or None when the greedy pass gets stuck; kept on ``cx``.
@@ -190,38 +191,35 @@ def greedy_shelling(cx: SimplicialComplex) -> tuple[int, ...] | None:
     its R(G) and the list of placed facets that still block it, so the pass
     takes O(d m^2) steps on m facets of d vertices.
     """
-    if "shelling" not in cx.memo:
-        facets = cx.facets
-        m = len(facets)
-        placed = [False] * m
-        restriction = [0] * m
-        blockers: list[list[int]] = [[] for _ in range(m)]
-        h = [0] * (cx.dimension + 2)
-        order: list[int] = []
-        nxt: int | None = 0
-        while nxt is not None:
-            placed[nxt] = True
-            order.append(nxt)
-            h[restriction[nxt].bit_count()] += 1
-            fp = facets[nxt]
-            for j in _bits(cx.ridge_neighbors[nxt]):
-                v = facets[j] & ~fp
-                if not placed[j] and not restriction[j] & v:
-                    restriction[j] |= v
-                    blockers[j] = [p for p in blockers[j]
-                                   if not facets[j] & ~facets[p] & restriction[j]]
-            for j in range(m):
-                if not placed[j] and not facets[j] & ~fp & restriction[j]:
-                    blockers[j].append(nxt)
-            nxt = next((j for j in range(m) if not placed[j] and restriction[j]
-                        and not blockers[j]), None)
-        if len(order) < m:
-            cx.memo["shelling"] = None
-        elif tuple(h) != cx.h_vector:
-            raise AssertionError("shelling failed re-verification against the h-vector")
-        else:
-            cx.memo["shelling"] = tuple(order)
-    return cx.memo["shelling"]
+    facets = cx.facets
+    m = len(facets)
+    placed = [False] * m
+    restriction = [0] * m
+    blockers: list[list[int]] = [[] for _ in range(m)]
+    h = [0] * (cx.dimension + 2)
+    order: list[int] = []
+    nxt: int | None = 0
+    while nxt is not None:
+        placed[nxt] = True
+        order.append(nxt)
+        h[restriction[nxt].bit_count()] += 1
+        fp = facets[nxt]
+        for j in _bits(cx.ridge_neighbors[nxt]):
+            v = facets[j] & ~fp
+            if not placed[j] and not restriction[j] & v:
+                restriction[j] |= v
+                blockers[j] = [p for p in blockers[j]
+                               if not facets[j] & ~facets[p] & restriction[j]]
+        for j in range(m):
+            if not placed[j] and not facets[j] & ~fp & restriction[j]:
+                blockers[j].append(nxt)
+        nxt = next((j for j in range(m) if not placed[j] and restriction[j]
+                    and not blockers[j]), None)
+    if len(order) < m:
+        return None
+    if tuple(h) != cx.h_vector:
+        raise AssertionError("shelling failed re-verification against the h-vector")
+    return tuple(order)
 
 
 def _every_ridge_in_two_facets(cx: SimplicialComplex) -> bool:
@@ -235,6 +233,7 @@ def _every_ridge_in_two_facets(cx: SimplicialComplex) -> bool:
     return True
 
 
+@kept
 def _reisner_sweep(cx: SimplicialComplex, field: FieldSpec) -> tuple[bool, bool]:
     """(Cohen-Macaulay, homology sphere) over ``field``, kept on ``cx``.
 
@@ -245,20 +244,15 @@ def _reisner_sweep(cx: SimplicialComplex, field: FieldSpec) -> tuple[bool, bool]
     at the first link that is not acyclic below its top, which rules out
     both.
     """
-    key = ("reisner", field)
-    if key not in cx.memo:
-        if cx.is_pure and greedy_shelling(cx) is not None:
-            cm, sphere = True, _every_ridge_in_two_facets(cx)
-        else:
-            cm = sphere = True
-            for mask in sorted(cx.faces):
-                bt = _link_betti(cx, mask, field)
-                if any(bt[:-1]):
-                    cm = sphere = False
-                    break
-                sphere = sphere and bt[-1] == 1
-        cx.memo[key] = (cm, sphere)
-    return cx.memo[key]
+    if cx.is_pure and greedy_shelling(cx) is not None:
+        return True, _every_ridge_in_two_facets(cx)
+    sphere = True
+    for mask in sorted(cx.faces):
+        bt = _link_betti(cx, mask, field)
+        if any(bt[:-1]):
+            return False, False
+        sphere = sphere and bt[-1] == 1
+    return True, sphere
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field: FieldSpec = QQ) -> bool:

@@ -5,13 +5,13 @@ in this package, so everything here is exact: arbitrary-precision integers,
 no floats. Rationals appear only at the input boundary, where
 ``integer_vector`` turns each rational vector into its primitive integer
 multiple; every matrix below has integer entries. ``Fraction`` loads with
-those input-boundary parsers (``parse_rational``, ``integer_vector``), so a
-command with no rational input (``analyze-complex``, ``check-graph``,
-``generate``) never loads ``fractions`` or ``decimal``.
+those input-boundary parsers (``parse_rational``, ``integer_vector``), and
+only for an entry that is not an int, so a run whose input is integral
+never loads ``fractions`` or ``decimal``.
 
 There is one dense elimination, ``rref``: fraction-free Gauss-Jordan over
-Z. ``nullspace`` reads the rank and an integer kernel basis off it, and
-``bareiss_rank`` is that rank. Sparse integer rows are ranked through
+Z. ``bareiss_rank`` is its pivot count, and ``nullspace`` reads the rank
+and an integer kernel basis off it. Sparse integer rows are ranked through
 ``rank(rows, field)``, which sends Q to ``rank_int_sparse`` and GF(p) to
 ``rank_mod_p_sparse``. Both run one sparse elimination,
 ``_unit_elimination``: it pivots on units, shortest live row first, then
@@ -157,11 +157,11 @@ def integer_vector(vec) -> tuple[int, ...]:
     a primitive integer vector keeps its int objects. An entry that is not
     an int or a Fraction is a TypeError.
     """
-    from fractions import Fraction
-
     for x in vec:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"entry {x!r} is not an exact rational")
+        if not isinstance(x, int):
+            from fractions import Fraction  # loaded for non-integral input only
+            if not isinstance(x, Fraction):
+                raise TypeError(f"entry {x!r} is not an exact rational")
     scale = lcm(*(x.denominator for x in vec))
     ints = [x.numerator if scale == 1 else x.numerator * (scale // x.denominator) for x in vec]
     g = gcd(*ints) or 1
@@ -314,8 +314,8 @@ def nullspace(rows, width: int):
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of dense integer rows: the rank that ``nullspace`` returns."""
-    return nullspace(rows, len(rows[0]) if rows else 0)[0]
+    """Rank of dense integer rows: the number of pivots of ``rref``."""
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def kernel_image(rows, basis) -> tuple[int, list[list[int]]]:

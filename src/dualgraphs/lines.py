@@ -28,7 +28,7 @@ import json
 from collections import namedtuple
 
 from .errors import HypothesisError, InputError
-from .graphs import CanonicalGraphCheck, Graph, check_canonical_graph
+from .graphs import CanonicalGraphCheck, Graph, check_canonical_graph, kept
 from .linalg import integer_vector, kernel_image, nullspace, parse_rational_vector
 from .linalg import rational_to_json
 
@@ -119,7 +119,7 @@ class LineArrangement:
     ``triple_point`` is the first of them, in pair order, found again at
     another pair, so lying on three lines (None when there is none).
     The arrangement never changes, so its dual graph is computed on first
-    use and kept on the instance.
+    use and kept in ``memo`` (``graphs.kept``).
     """
 
     def __init__(self, ambient_dim: int, lines):
@@ -149,7 +149,7 @@ class LineArrangement:
                     self.triple_point = point
                 points.add(point)
                 self._intersections[(i, j)] = point
-        self._dual_graph = None
+        self.memo: dict = {}
 
     @property
     def n_lines(self) -> int:
@@ -166,13 +166,12 @@ def no_triple_points(arr: LineArrangement):
     return arr.triple_point is None, arr.triple_point
 
 
+@kept
 def dual_graph(arr: LineArrangement) -> Graph:
     """Graph on lines 1..s; edges join lines that meet."""
-    if arr._dual_graph is None:
-        labels = [str(i + 1) for i in range(arr.n_lines)]
-        edges = [(labels[i], labels[j]) for i, j in sorted(arr.intersection_pairs())]
-        arr._dual_graph = Graph(labels, edges)
-    return arr._dual_graph
+    labels = [str(i + 1) for i in range(arr.n_lines)]
+    edges = [(labels[i], labels[j]) for i, j in sorted(arr.intersection_pairs())]
+    return Graph(labels, edges)
 
 
 def genus(arr: LineArrangement) -> int:

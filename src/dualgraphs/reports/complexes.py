@@ -32,7 +32,7 @@ def _pure_cm(cx, f):
     return _pure(cx) or _unless(f.cohen_macaulay, f"not Cohen-Macaulay over {f.name}")
 
 
-def _has_dual_graph(cx):
+def _omit_unless_pure(cx):
     return _unless(cx.is_pure, OMIT)
 
 
@@ -175,25 +175,25 @@ _COMPLEX_CHECKS = (
     Check("complete_intersection_connectivity",
           "complete intersections of height c with minimal generator"
           " degree d have (d-1)c-connected dual graphs",
-          lambda g, cx: _has_dual_graph(cx) or _complete_intersection(cx),
+          lambda g, cx: _omit_unless_pure(cx) or _complete_intersection(cx),
           _verify_complete_intersection),
     Check("generator_degree_vertex_bound",
           "height-c ideals generated in degree <= k have at most k^c minimal primes",
-          lambda g, cx: _has_dual_graph(cx) or _unless(
+          lambda g, cx: _omit_unless_pure(cx) or _unless(
               cx.max_generator_degree() >= 1 and cx.height() >= 1, "the nonface ideal is zero"),
           _verify_degree_vertex),
-    _MENGER._replace(applies=lambda g, cx: _has_dual_graph(cx) or _unless(
+    _MENGER._replace(applies=lambda g, cx: _omit_unless_pure(cx) or _unless(
         g.n >= 2 and _kappa(g) >= 1, "dual graph disconnected or trivial")),
     Check("degree_diameter_bound",
           "connected height-c ideals generated in degree <= d have diam <= d^c - 2",
-          lambda g, cx: _has_dual_graph(cx) or _unless(
+          lambda g, cx: _omit_unless_pure(cx) or _unless(
               cx.height() >= 2 and cx.max_generator_degree() >= 1
               and graph_mod.diameter(g) != inf, "needs height >= 2 and a connected dual graph"),
           _verify_degree_diameter),
     Check("forbidden_pattern_screen",
           "dual graphs of pure complexes never contain the forbidden"
           " 6-vertex pattern as an induced subgraph",
-          lambda g, cx: _has_dual_graph(cx),
+          lambda g, cx: _omit_unless_pure(cx),
           _verify_no_pattern),
 )
 

@@ -20,7 +20,7 @@ from dualgraphs.graphs import (
     non_revisiting_path,
 )
 from dualgraphs.linalg import QQ, prime_field
-from dualgraphs.reports.complexes import _verify_nonrevisiting
+from dualgraphs.reports.complexes import _verify_nonrevisiting, build_complex_report
 from oracles import (
     all_pairs_nonrevisiting_verdict,
     bf_is_shelling,
@@ -30,6 +30,7 @@ from oracles import (
     monotone_starts,
     pure_families,
 )
+from test_homology import RP2_FACETS
 from test_properties import pure_complexes
 
 GF2 = prime_field(2)
@@ -131,7 +132,7 @@ def test_the_verdict_searches_exactly_the_pairs_monotone_paths_leave_open(c):
             break
     calls = []
     search = graphs.non_revisiting_path
-    c.memo.pop("nonrevisiting", None)
+    c.memo.pop("first_pair_without_nonrevisiting_path", None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "non_revisiting_path",
                    lambda cxv, *pair: calls.append(pair) or search(cxv, *pair))
@@ -161,7 +162,7 @@ def test_nonrevisiting_verdict_is_kept_on_the_complex(monkeypatch):
     assert first_pair_without_nonrevisiting_path(octa) is None
     # every pair of crosspolytope facets is joined by a monotone path
     assert calls == []
-    assert "nonrevisiting" in octa.memo
+    assert "first_pair_without_nonrevisiting_path" in octa.memo
     # on the join of a pentagon and a hexagon some pairs need the search,
     # and the verdict is computed once
     join = cx([(i, (i + 1) % 5) for i in range(5)]).join(
@@ -171,3 +172,27 @@ def test_nonrevisiting_verdict_is_kept_on_the_complex(monkeypatch):
     assert searched
     assert first_pair_without_nonrevisiting_path(join) is None
     assert len(calls) == searched
+
+
+class _CountingMemo(dict):
+    """A memo dict that counts the writes to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = {}
+
+    def __setitem__(self, key, value):
+        self.writes[key] = self.writes.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("c, flag", [(cx(RP2_FACETS), False),
+                                     (crosspolytope_boundary(4), True)],
+                         ids=["rp2", "crosspolytope4"])
+def test_a_report_over_three_fields_keeps_each_value_once(c, flag):
+    memo = c.__dict__["memo"] = _CountingMemo()
+    build_complex_report(c, FIELDS)
+    keys = ["dual_graph", "greedy_shelling", *(("_reisner_sweep", f) for f in FIELDS)]
+    if flag:  # only a flag complex has the non-revisiting check
+        keys.append("first_pair_without_nonrevisiting_path")
+    assert memo.writes == dict.fromkeys(keys, 1)

@@ -380,40 +380,37 @@ def _loaded_by(*argv, code=_LOADED):
 
 _BASE = {"cli", "errors", "graphs", "reports"}
 
-#: Each analysis command, the modules it loads besides ``_BASE`` with
-#: ``--format json``, and whether it parses rationals (and so may load
-#: ``fractions``, which loads ``decimal``).
+#: Each analysis command and the modules it loads besides ``_BASE`` with
+#: ``--format json``. The geometry inputs are integral, so no command loads
+#: ``fractions`` (nor ``decimal``, which it loads).
 _ANALYSES = {
-    "check-graph": (["check-graph", "{tmp}/q3.edges"], {"reports.graphs"}, False),
+    "check-graph": (["check-graph", "{tmp}/q3.edges"], {"reports.graphs"}),
     "analyze-lines": (["analyze-lines", str(SAMPLES / "four_lines_p2.json")],
-                      {"lines", "linalg", "reports.lines"}, True),
+                      {"lines", "linalg", "reports.lines"}),
     "analyze-arrangement": (["analyze-arrangement", str(SAMPLES / "nonhirsch_arrangement.json")],
-                            {"arrangements", "linalg", "reports.arrangements"}, True),
+                            {"arrangements", "linalg", "reports.arrangements"}),
     "analyze-complex": (["analyze-complex", "{tmp}/x2.facets"],
-                        {"complexes", "homology", "linalg", "reports.complexes"}, False),
+                        {"complexes", "homology", "linalg", "reports.complexes"}),
 }
 
 
-@pytest.mark.parametrize("argv, modules, rationals", [
-    pytest.param([*argv, "--format", fmt], _BASE | modules | renderer, rationals,
-                 id=f"{name}-{fmt}")
-    for name, (argv, modules, rationals) in _ANALYSES.items()
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param([*argv, "--format", fmt], _BASE | modules | renderer, id=f"{name}-{fmt}")
+    for name, (argv, modules) in _ANALYSES.items()
     for fmt, renderer in (("json", set()), ("text", {"reports.text"}))
 ] + [
-    pytest.param(["generate", "hypercube", "3"], {"cli", "errors", "graphs"}, False,
+    pytest.param(["generate", "hypercube", "3"], {"cli", "errors", "graphs"},
                  id="generate-graph"),
-    pytest.param(["generate", "crosspolytope", "2"], {"cli", "errors", "complexes"}, False,
+    pytest.param(["generate", "crosspolytope", "2"], {"cli", "errors", "complexes"},
                  id="generate-complex"),
 ])
-def test_each_command_loads_only_its_modules(capsys, tmp_path, argv, modules, rationals):
+def test_each_command_loads_only_its_modules(capsys, tmp_path, argv, modules):
     run(capsys, "generate", "hypercube", "3", "--out", str(tmp_path / "q3.edges"))
     run(capsys, "generate", "crosspolytope", "2", "--out", str(tmp_path / "x2.facets"))
     code, loaded, stdlib = _loaded_by(*(a.format(tmp=tmp_path) for a in argv))
     assert code == 0
     assert set(loaded) == modules
-    assert "dataclasses" not in stdlib
-    if not rationals:
-        assert stdlib == []
+    assert stdlib == []
 
 
 def test_importing_the_package_loads_no_module():

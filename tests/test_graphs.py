@@ -66,6 +66,13 @@ def test_dual_graph_crosspolytope_is_cycle():
     assert diameter(g) == 2
 
 
+def test_dual_graph_is_kept_on_the_complex():
+    c = crosspolytope_boundary(3)
+    g = dual_graph(c)
+    assert dual_graph(c) is g
+    assert diameter(g) == 3 and "diameter" in dual_graph(c).memo
+
+
 def test_dual_graph_simplex_is_complete():
     g = dual_graph(simplex_boundary(3))
     assert g.is_complete() and g.n == 4
