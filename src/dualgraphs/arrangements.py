@@ -317,12 +317,8 @@ def check_regularity_connectivity(arr: SubspaceArrangement, r: int) -> Connectiv
         )
     if is_k_connected(g, r):
         return ConnectivityCheck(r, True, None, f"dual graph is {r}-connected")
-    if g.n >= 2:
-        kappa, cut = vertex_connectivity(g)
-        return ConnectivityCheck(
-            r, False, cut, f"vertex connectivity is {kappa} < {r}"
-        )
-    return ConnectivityCheck(r, False, None, "single component")
+    kappa, cut = vertex_connectivity(g)
+    return ConnectivityCheck(r, False, cut, f"vertex connectivity is {kappa} < {r}")
 
 
 class ArrangementReport(NamedTuple):

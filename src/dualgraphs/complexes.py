@@ -151,7 +151,7 @@ class SimplicialComplex:
         sizes = {m.bit_count() for m in self.facets}
         return len(sizes) == 1
 
-    def _require_pure(self, what: str):
+    def require_pure(self, what: str):
         if not self.is_pure:
             raise NonPureComplexError(f"{what} requires a pure complex")
 
@@ -250,7 +250,7 @@ class SimplicialComplex:
     @cached_property
     def h_vector(self) -> HVector:
         """(h_0, ..., h_{d+1}) from the standard f-to-h transform."""
-        self._require_pure("the h-vector")
+        self.require_pure("the h-vector")
         f = self.f_vector
         d1 = self.dimension + 1
         h = tuple(
@@ -263,14 +263,11 @@ class SimplicialComplex:
 
     def multiplicity(self) -> int:
         """h(1); for nonface ideals this equals the facet count."""
-        mult = sum(self.h_vector)
-        if mult != self.n_facets:
-            raise AssertionError("multiplicity differs from the facet count")
-        return mult
+        return sum(self.h_vector)
 
     def height(self) -> int:
         """n - d - 1: the common height of the facet complement ideals."""
-        self._require_pure("the height")
+        self.require_pure("the height")
         return self.n_vertices - self.dimension - 1
 
     @cached_property

@@ -40,7 +40,6 @@ from .errors import (
     EmptyGraphError,
     HypothesisError,
     InputError,
-    NonPureComplexError,
     ParseError,
     UnknownFamilyError,
 )
@@ -422,8 +421,7 @@ def dual_adjacency(cx: SimplicialComplex) -> frozenset[tuple[int, int]]:
     """Dual edges as facet-index pairs: facets sharing a ridge."""
     if cx.is_void:
         raise EmptyGraphError("the void complex has no dual graph")
-    if not cx.is_pure:
-        raise NonPureComplexError("the dual graph requires a pure complex")
+    cx.require_pure("the dual graph")
     return frozenset(_pairs(cx.ridge_neighbors))
 
 
@@ -452,8 +450,7 @@ def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
     ``first_pair_without_nonrevisiting_path`` searches only the pairs whose
     dual distance exceeds |F \\ G|.
     """
-    if not cx.is_pure:
-        raise NonPureComplexError("non-revisiting search requires a pure complex")
+    cx.require_pure("non-revisiting search")
     sm = cx.mask_of(start_facet)
     gm = cx.mask_of(goal_facet)
     facets = cx.facets
@@ -503,8 +500,7 @@ def first_pair_without_nonrevisiting_path(cx: SimplicialComplex):
     included, go to ``non_revisiting_path``, in sorted order. The verdict
     does not depend on a field, so it is kept on ``cx``.
     """
-    if not cx.is_pure:
-        raise NonPureComplexError("non-revisiting search requires a pure complex")
+    cx.require_pure("non-revisiting search")
     facets, adj = cx.facets, cx.ridge_neighbors
     open_pairs = []
     for j, goal in enumerate(facets):
@@ -543,50 +539,35 @@ def forbidden_pattern() -> Graph:
 
 @kept
 def contains_forbidden_line_graph(g: Graph):
-    """Search for the forbidden 6-vertex pattern as an induced subgraph.
+    """The forbidden 6-vertex pattern as an induced subgraph: the embedding
+    (pattern label -> host label), or None. A witness certifies that the
+    graph is the dual graph of no line arrangement and no pure complex.
 
-    Returns the embedding (pattern label -> host label) or None. A witness
-    certifies that the graph is not the dual graph of any arrangement of
-    projective lines, nor of any pure simplicial complex.
+    The pattern is the edge 1-6 joined to the induced 4-cycle 2-3-5-4. The
+    loops place h1-h6, then the cycle in the common neighbours of its ends;
+    each takes the lowest host index first, so the witness is the least
+    tuple of host indices for (1, 6, 2, 3, 4, 5), keyed in that order.
     """
-    pattern = forbidden_pattern()
-    if g.n < pattern.n:
-        return None
-    # Most-constrained first: pattern vertices by descending degree.
-    order = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
-    wanted = [[pattern.has_edge(p, q) for q in order] for p in order]
     adj = g.adj
-    images: list[int] = []
+    for h1 in range(g.n):
+        for h6 in _bits(adj[h1]):
+            common = adj[h1] & adj[h6]
+            for h2 in _bits(common):
+                near = common & adj[h2]
+                far = common & ~adj[h2] & ~(1 << h2)
+                if not far:  # vertex 5 has no place
+                    continue
+                for h3 in _bits(near):
+                    for h4 in _bits(near & ~adj[h3] & ~(1 << h3)):
+                        for h5 in _bits(far & adj[h3] & adj[h4]):
+                            return _verified_witness(g, (h1, h6, h2, h3, h4, h5))
+    return None
 
-    def extend(cands):
-        # cands[i]: mask of the host vertices that order[len(images) + i]
-        # may still take -- unused, of large enough degree and consistent
-        # with every placed vertex. A placement that empties any of them is
-        # skipped, so the first embedding found is the one plain
-        # backtracking in host order finds first.
-        if not cands:
-            return True
-        pos = len(images)
-        for h in _bits(cands[0]):
-            nh = adj[h]
-            rest = []
-            for i, cand in enumerate(cands[1:], start=pos + 1):
-                cand &= (nh if wanted[pos][i] else ~nh) & ~(1 << h)
-                if not cand:
-                    break
-                rest.append(cand)
-            else:
-                images.append(h)
-                if extend(rest):
-                    return True
-                images.pop()
-        return False
 
-    start = [sum(1 << h for h in range(g.n) if adj[h].bit_count() >= pattern.degree(p))
-             for p in order]
-    if not extend(start):
-        return None
-    witness = {p: g.vertices[h] for p, h in zip(order, images)}
+def _verified_witness(g: Graph, hosts):
+    """Pattern vertices 1, 6, 2, 3, 4, 5 sent to ``hosts``, re-verified."""
+    pattern = forbidden_pattern()
+    witness = {p: g.vertices[h] for p, h in zip("162345", hosts)}
     for a, b in itertools.combinations(pattern.vertices, 2):
         if pattern.has_edge(a, b) != g.has_edge(witness[a], witness[b]):
             raise AssertionError("induced-subgraph witness failed re-verification")

@@ -63,7 +63,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex
-from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, NonPureComplexError, ResourceCapError
+from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, ResourceCapError
 from .errors import VoidComplexError
 from .graphs import _bits, kept, reach
 from .linalg import QQ, FieldSpec, rank, rank_gf2_columns
@@ -268,8 +268,7 @@ def is_homology_sphere(cx: SimplicialComplex, field: FieldSpec = QQ) -> bool:
     top reduced Betti number one, everything below zero."""
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
-    if not cx.is_pure:
-        raise NonPureComplexError("homology-sphere test requires a pure complex")
+    cx.require_pure("homology-sphere test")
     return _reisner_sweep(cx, field)[1]
 
 
@@ -299,8 +298,7 @@ def is_normal(cx: SimplicialComplex) -> bool:
     """
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
-    if not cx.is_pure:
-        raise NonPureComplexError("normality requires a pure complex")
+    cx.require_pure("normality")
     facets = cx.facets
     vertex_stars = [sum(1 << i for i, f in enumerate(facets) if f >> v & 1)
                     for v in range(cx.n_vertices)]

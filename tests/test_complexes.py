@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from dualgraphs import graphs, homology
 from dualgraphs.complexes import (
     SimplicialComplex,
     crosspolytope_boundary,
@@ -13,6 +14,7 @@ from dualgraphs.complexes import (
     tadpole_complex,
 )
 from dualgraphs.errors import (
+    EmptyGraphError,
     InputError,
     NonPureComplexError,
     NotAFaceError,
@@ -46,6 +48,38 @@ def test_void_and_empty_facet_rejection():
     assert SimplicialComplex.from_facets([], allow_void=True).is_void
     with pytest.raises(InputError):
         SimplicialComplex.from_facets([set()])
+
+
+VOID = SimplicialComplex.from_facets([], allow_void=True)
+NON_PURE = SimplicialComplex.from_facets([{1, 2, 3}, {3, 4}])
+PATH = SimplicialComplex.from_facets([(1, 2), (2, 3)])
+NOT_CLASSIFIED = (VoidComplexError, "the void complex is not classified")
+
+
+@pytest.mark.parametrize("call, complex_, error, message", [
+    (homology.reduced_betti_numbers, VOID, VoidComplexError, "the void complex has no homology"),
+    (homology.is_cohen_macaulay, VOID, *NOT_CLASSIFIED),
+    (homology.is_homology_sphere, VOID, *NOT_CLASSIFIED),
+    (homology.is_gorenstein, VOID, *NOT_CLASSIFIED),
+    (homology.is_normal, VOID, *NOT_CLASSIFIED),
+    (homology.regularity, VOID, VoidComplexError, "the void complex has no regularity"),
+    (graphs.dual_adjacency, VOID, EmptyGraphError, "the void complex has no dual graph"),
+    (homology.is_homology_sphere, NON_PURE, NonPureComplexError,
+     "homology-sphere test requires a pure complex"),
+    (homology.is_normal, NON_PURE, NonPureComplexError, "normality requires a pure complex"),
+    (graphs.dual_adjacency, NON_PURE, NonPureComplexError,
+     "the dual graph requires a pure complex"),
+    (lambda c: graphs.non_revisiting_path(c, (1, 2, 3), (3, 4)), NON_PURE,
+     NonPureComplexError, "non-revisiting search requires a pure complex"),
+    (graphs.first_pair_without_nonrevisiting_path, NON_PURE, NonPureComplexError,
+     "non-revisiting search requires a pure complex"),
+    (lambda c: graphs.non_revisiting_path(c, (1,), (2, 3)), PATH, InputError,
+     "endpoints must be facets"),
+])
+def test_guards_refuse_with_their_class_and_message(call, complex_, error, message):
+    with pytest.raises(error) as caught:
+        call(complex_)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_f_vectors_basic():

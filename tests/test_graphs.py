@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from dualgraphs.complexes import (
+    SimplicialComplex,
     crosspolytope_boundary,
     simplex_boundary,
     tadpole_complex,
@@ -13,6 +14,7 @@ from dualgraphs.complexes import (
 from dualgraphs.errors import EmptyGraphError, InputError, ParseError, UnknownFamilyError
 from dualgraphs import graphs
 from dualgraphs.graphs import (
+    FORBIDDEN_PATTERN_EDGES,
     Graph,
     HirschVerdict,
     complete_graph,
@@ -71,6 +73,12 @@ def test_dual_graph_is_kept_on_the_complex():
     g = dual_graph(c)
     assert dual_graph(c) is g
     assert diameter(g) == 3 and "diameter" in dual_graph(c).memo
+
+
+def test_dual_graph_numbers_facets_whose_labels_collide():
+    # facets ("1,2", "3") and ("1", "2,3") both read "1,2,3"
+    g = dual_graph(SimplicialComplex.from_facets([("1,2", "3"), ("1", "2,3")]))
+    assert g.vertices == ("1:1,2,3", "2:1,2,3") and g.edges == ()
 
 
 def test_dual_graph_simplex_is_complete():
@@ -220,8 +228,8 @@ def test_forbidden_search_matches_bruteforce_small():
         )
 
 
-#: The order in which the search places the pattern's vertices: by
-#: descending degree, ties by label.
+#: The order in which the search places the pattern's vertices: the edge
+#: 1-6, then the induced 4-cycle 2-3-5-4 in its common neighbourhood.
 PATTERN_ORDER = ("1", "6", "2", "3", "4", "5")
 
 
@@ -229,13 +237,20 @@ PATTERN_ORDER = ("1", "6", "2", "3", "4", "5")
 def dense_graphs(draw):
     n = draw(st.integers(6, 9))
     labels = draw(st.permutations([f"v{i}" for i in range(n)]))
-    keep = st.integers(0, 9).map(lambda x: x < 8)
+    tenths = draw(st.integers(5, 9))  # keep each edge with probability 0.5 to 0.9
+    keep = st.integers(0, 9).map(lambda x: x < tenths)
     edges = [e for e in itertools.combinations(labels, 2) if draw(keep)]
     return Graph(labels, edges)
 
 
 @given(dense_graphs())
 @example(complete_graph(16))
+# the first h2, vertex "6", leaves no place for vertex 5 and is skipped
+@example(Graph(["u", "1", "6", "2", "3", "4", "5"],
+               list(FORBIDDEN_PATTERN_EDGES) + [("u", v) for v in "162345"]))
+# the octahedron K_{2,2,2}: each edge's common neighbours are one non-adjacent pair
+@example(Graph.from_edges([(a, b) for a, b in itertools.combinations("aAbBcC", 2)
+                           if a.lower() != b.lower()]))
 @example(generate_graph("forbidden6"))
 @example(Graph([str(i) for i in range(1, 8)],
                [e for e in itertools.combinations([str(i) for i in range(1, 8)], 2)
