@@ -34,15 +34,18 @@ itself (the complex, when it has no cone vertex).
 
 Before any link is built, a pure complex is offered a shelling: an order
 F_1, ..., F_m of its facets in which each F_k meets F_1 u ... u F_{k-1} in
-a pure complex of one dimension less. A shellable complex is Cohen-Macaulay
-over every field, and a shellable pseudomanifold -- every ridge in exactly
-two facets -- is a PL sphere (Danaraj-Klee 1974), hence a homology sphere
-over every field; a shellable complex with a ridge in one facet or in three
-or more has a link of that ridge that is not a 0-sphere, so it is not one.
+a pure complex of one dimension less. A shellable d-complex is a wedge of
+h_{d+1} d-spheres (Bjorner-Wachs 1996), and Cohen-Macaulay over every field,
+so normal: every link is Cohen-Macaulay, hence strongly connected
+(Hartshorne). A shellable pseudomanifold -- every ridge in exactly two
+facets -- is a PL sphere (Danaraj-Klee 1974), hence a homology sphere over
+every field; a shellable complex with a ridge in one facet or in three or
+more has a link of that ridge that is not a 0-sphere, so it is not one.
 The order is found greedily and re-verified against the h-vector (h_i
 counts the facets whose restriction set has i vertices). Only when the
 greedy pass gets stuck -- always on a complex that is not Cohen-Macaulay,
-sometimes on one that is -- does Reisner's link sweep run.
+sometimes on one that is -- are links swept, the boundary maps of the
+whole complex ranked and stars flooded.
 
 Results are kept in the complex's ``memo``: by ``graphs.kept``, the
 shelling, for every field at once, and per field the Cohen-Macaulay and
@@ -171,9 +174,12 @@ def _link_betti(cx: SimplicialComplex, mask: int, field: FieldSpec) -> tuple[int
 
 
 def reduced_betti_numbers(cx: SimplicialComplex, field: FieldSpec = QQ) -> BettiProfile:
-    """Reduced Betti numbers b~_i = nullity(d_i) - rank(d_{i+1})."""
+    """Reduced Betti numbers b~_i = nullity(d_i) - rank(d_{i+1}); on a
+    shellable pure d-complex, (0, ..., 0, h_{d+1}) over every field."""
     if cx.is_void:
         raise VoidComplexError("the void complex has no homology")
+    if cx.is_pure and greedy_shelling(cx) is not None:
+        return BettiProfile(cx, field, (0,) * (cx.dimension + 1) + cx.h_vector[-1:])
     # cx is the link of its own empty face
     return BettiProfile(cx, field, _link_betti(cx, 0, field))
 
@@ -292,13 +298,16 @@ def is_normal(cx: SimplicialComplex) -> bool:
     Purely combinatorial: two facets are adjacent when they share a face of
     one dimension less -- on a pure complex, the ridge relation
     ``cx.ridge_neighbors`` -- and every star must stay connected that way.
-    Each star, a bitmask of facet indices, is the AND of its vertices'
-    stars, and ``graphs.reach`` floods it from its lowest facet along the
-    ridge masks.
+    A shelling makes every link Cohen-Macaulay, so strongly connected by
+    Hartshorne. Otherwise each star, a bitmask of facet indices, is the AND
+    of its vertices' stars, and ``graphs.reach`` floods it from its lowest
+    facet along the ridge masks.
     """
     if cx.is_void:
         raise VoidComplexError("the void complex is not classified")
     cx.require_pure("normality")
+    if greedy_shelling(cx) is not None:
+        return True
     facets = cx.facets
     vertex_stars = [sum(1 << i for i, f in enumerate(facets) if f >> v & 1)
                     for v in range(cx.n_vertices)]
@@ -322,8 +331,8 @@ def regularity(
     """Regularity by the restriction sweep: the maximum over vertex subsets
     W of max{ i : b~_{i-1}(cx|_W) != 0 }.
 
-    The sweep visits all 2^n subsets (Gray-code order), so it refuses to run
-    past ``max_vertices`` -- raise the cap explicitly to accept the blowup.
+    The sweep visits 2^n subsets (Gray-code order); when it must run, it
+    refuses past ``max_vertices`` -- raise the cap to accept the blowup.
     Simplices and cones -- the W not covered by the minimal nonfaces inside
     them (module docstring) -- are skipped; every other restriction's
     profile is kept on ``cx``, so a second field's sweep reuses the GF(2)
@@ -339,17 +348,17 @@ def regularity(
     if cx.is_void:
         raise VoidComplexError("the void complex has no regularity")
     n = cx.n_vertices
-    if n > max_vertices:
-        raise ResourceCapError(
-            f"regularity sweep needs 2^{n} restrictions; cap is {max_vertices}"
-            " vertices (raise max_vertices / --max-hochster-n to override)"
-        )
     nonfaces = [cx.mask_of(nf) for nf in cx.minimal_nonfaces]
     core = cx.core()
     core_mask = (1 << n) - 1 & ~cx.cone_mask
     best, best_mask = 0, 0
     if cx.is_pure and not core.is_empty_complex and is_homology_sphere(core, field):
         best, best_mask = core.dimension + 1, core_mask
+    if best <= core.dimension and n > max_vertices:
+        raise ResourceCapError(
+            f"regularity sweep needs 2^{n} restrictions; cap is {max_vertices}"
+            " vertices (raise max_vertices / --max-hochster-n to override)"
+        )
     for k in range(1, 1 << n):
         if best > core.dimension:
             break  # nothing above the core's dimension: no later W can do better

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .. import graphs as graph_mod
 from .. import homology
-from ..errors import DEFAULT_MAX_HOCHSTER_VERTICES, ResourceCapError
+from ..errors import DEFAULT_MAX_HOCHSTER_VERTICES
 from . import (OMIT, _MENGER, _SMALL_CASES, Check, _diam_value, _graph_stats, _kappa,
                _run_checks, _small_case_verdict, _unless)
 
@@ -223,12 +223,6 @@ def build_complex_report(
             warnings=["void complex: nothing to analyze"],
         )
         return report
-
-    if cx.n_vertices > max_hochster_n:
-        raise ResourceCapError(
-            f"{cx.n_vertices} vertices exceed the regularity sweep cap"
-            f" {max_hochster_n} (2^n restrictions); raise --max-hochster-n"
-        )
 
     pure = cx.is_pure
     report["dimension"] = cx.dimension

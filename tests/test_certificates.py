@@ -1,19 +1,21 @@
 """The two field-free certificates of a complex report, against brute force.
 
-A greedy shelling settles Cohen-Macaulayness and the homology-sphere test
-before any link is built; a monotone dual path settles a facet pair of the
+A greedy shelling settles Cohen-Macaulayness, the homology-sphere test, the
+reduced Betti numbers and normality before any link is built or any
+boundary map ranked; a monotone dual path settles a facet pair of the
 non-revisiting check before any search. Both are re-checked here: the
-shelling by the definition and by Reisner's criterion on every link, the
-monotone marks by the exact search and by path enumeration.
+shelling by the definition, by Reisner's criterion on every link, by the
+boundary ranks and by the star flood; the monotone marks by the exact
+search and by path enumeration.
 """
 
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dualgraphs import homology
-from dualgraphs.complexes import SimplicialComplex, crosspolytope_boundary
+from dualgraphs.complexes import SimplicialComplex, crosspolytope_boundary, full_simplex
 from dualgraphs.graphs import (
     dual_graph,
     first_pair_without_nonrevisiting_path,
@@ -24,14 +26,16 @@ from dualgraphs.reports.complexes import _verify_nonrevisiting, build_complex_re
 from oracles import (
     all_pairs_nonrevisiting_verdict,
     bf_is_shelling,
+    bf_is_normal,
     bf_nonrevisiting_exists,
+    bf_reduced_betti,
     bf_reisner,
     cx,
     monotone_starts,
     pure_families,
 )
 from test_homology import RP2_FACETS
-from test_properties import pure_complexes
+from test_properties import SPHERES, pure_complexes, spheres
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -98,6 +102,56 @@ def test_shelling_settles_the_crosspolytope_without_links():
     assert order is not None and bf_is_shelling(c, [c.facet_labels()[i] for i in order])
     assert homology.is_homology_sphere(c, QQ) and homology.is_homology_sphere(c, GF2)
     assert ("link", QQ) not in c.memo and ("link", GF2) not in c.memo
+
+
+#: Shellable complexes besides the spheres: balls, points and a simplex.
+SHELLABLE = {
+    **SPHERES,
+    "octahedron-less-a-triangle": cx(crosspolytope_boundary(3).facet_labels()[1:]),
+    "three-points": cx([(1,), (2,), (3,)]),
+    "strip-of-triangles": cx([(1, 2, 3), (2, 3, 4), (3, 4, 5)]),
+    "tree-of-tetrahedra": cx([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 6)]),
+    "simplex3": full_simplex(3),
+}
+
+
+def check_shelled_betti(c: SimplicialComplex):
+    """The shelling's profile (0, ..., 0, h_{d+1}) is the profile of the
+    boundary ranks and of the dense oracle, over Q, GF(2) and GF(3)."""
+    assert homology.greedy_shelling(c) is not None
+    for field in FIELDS:
+        shortcut = homology.reduced_betti_numbers(c, field).reduced
+        assert 0 not in c.memo.get(("link", field), {})  # no rank profile kept
+        assert shortcut == homology._ranks_profile(c, field) == tuple(bf_reduced_betti(c, field))
+
+
+def check_normal_by_flood(c: SimplicialComplex):
+    """On shellable input the shortcut, the star flood (forced by hiding the
+    shelling) and the oracle all find the complex normal."""
+    floods = []
+    reach = homology.reach
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "reach", lambda *args: floods.append(args) or reach(*args))
+        fast = homology.is_normal(c)
+        assert floods == []
+        mp.setattr(homology, "greedy_shelling", lambda cxv: None)
+        slow = homology.is_normal(c)
+    assert floods
+    assert fast is slow is bf_is_normal(c) is True
+
+
+@given(st.one_of(spheres(), pure_complexes(max_vertices=7)))
+def test_a_shelling_settles_the_betti_profile_and_normality(c):
+    assume(homology.greedy_shelling(c) is not None)
+    check_shelled_betti(c)
+    check_normal_by_flood(c)
+
+
+@pytest.mark.parametrize("name", SHELLABLE)
+def test_a_shelling_settles_the_betti_profile_and_normality_on_named_complexes(name):
+    c = SimplicialComplex.from_facets(SHELLABLE[name].facet_labels())  # fresh memo
+    check_shelled_betti(c)
+    check_normal_by_flood(c)
 
 
 @given(pure_complexes(max_vertices=6, max_facets=8), st.data())

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dualgraphs.cli import main
+from test_homology import RP2_FACETS
 
 SAMPLES = Path(__file__).parent.parent / "sample_inputs"
 SRC = Path(__file__).parent.parent / "src"
@@ -121,11 +122,21 @@ def test_parse_error_reports_line(capsys, tmp_path):
 
 
 def test_hochster_cap_exit_code(capsys, tmp_path):
-    path = tmp_path / "x3.facets"
-    run(capsys, "generate", "crosspolytope", "3", "--out", str(path))
+    # RP^2 (6 vertices) is no sphere over Q, so its regularity sweep runs
+    path = tmp_path / "rp2.facets"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in RP2_FACETS))
     code, _, err = run(capsys, "analyze-complex", str(path), "--max-hochster-n", "5")
     assert code == 3 and "cap" in err
     code, _, _ = run(capsys, "analyze-complex", str(path), "--max-hochster-n", "6")
+    assert code == 0
+
+
+def test_hochster_cap_spares_a_sphere_that_runs_no_sweep(capsys, tmp_path):
+    # the octahedron is a sphere: its regularity needs no sweep, so a cap
+    # below its 6 vertices does not refuse it
+    path = tmp_path / "x3.facets"
+    run(capsys, "generate", "crosspolytope", "3", "--out", str(path))
+    code, _, _ = run(capsys, "analyze-complex", str(path), "--max-hochster-n", "5")
     assert code == 0
 
 

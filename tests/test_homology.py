@@ -331,12 +331,31 @@ def _report_profiles_and_restrictions(monkeypatch, c, fields):
     return whole, built
 
 
+#: Cohen-Macaulay over Q, GF(2) and GF(3), yet the greedy pass gets stuck on it:
+#: 6 vertices, 11 triangles, b~_2 = h_3 = 1 and regularity 3
+UNSHELLED_CM = [
+    (2, 3, 5), (2, 4, 6), (1, 4, 6), (1, 3, 4), (1, 4, 5), (3, 5, 6),
+    (1, 2, 5), (1, 2, 6), (4, 5, 6), (1, 3, 6), (2, 3, 4),
+]
+
+
 def test_report_builds_one_whole_complex_profile_per_field(monkeypatch):
+    c = cx(UNSHELLED_CM)
+    whole, built = _report_profiles_and_restrictions(monkeypatch, c, (QQ, GF2, GF3))
+    assert homology.greedy_shelling(c) is None
+    # the Q profile is read off the GF(2) one; over GF(2) and GF(3) the
+    # report profiles the complex once and the sweep its restriction to V,
+    # the witness, which re-verifies on the report's own profile
+    assert whole == {GF2: 2, GF3: 2}
+    assert built.count((1 << c.n_vertices) - 1) == 2
+
+
+def test_a_shelled_report_ranks_no_whole_complex_profile(monkeypatch):
+    # the shelling gives the profile (0, ..., 0, h_4) over every field, and
+    # the sphere core skips the regularity sweep
     whole, built = _report_profiles_and_restrictions(
         monkeypatch, crosspolytope_boundary(4), (QQ, GF2, GF3))
-    # the Q profile is read off the GF(2) one; regularity's witness V
-    # re-verifies on the report's own profiles
-    assert whole == {GF2: 1, GF3: 1}
+    assert whole == {}
     assert built == []
 
 
