@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", action="append", default=None, metavar="q|gf:p",
                    help="coefficient field, repeatable (default q)")
     p.add_argument("--max-hochster-n", type=int, default=DEFAULT_MAX_HOCHSTER_VERTICES,
-                   help="vertex cap, checked when the 2^n regularity sweep runs (default 20)")
+                   help="vertex cap for the 2^n regularity sweep (default 20)")
     p.add_argument("--allow-void", action="store_true",
                    help="accept an input file with no facets")
     _add_common(p)

@@ -549,15 +549,9 @@ def contains_forbidden_line_graph(g: Graph):
     tuple of host indices for (1, 6, 2, 3, 4, 5), keyed in that order.
     """
     adj = g.adj
-    for h1, nb in enumerate(adj):
-        low = nb & -nb  # 1 has degree 5 and two non-adjacent neighbours, 2 and 5
-        if nb.bit_count() < 5 or nb & ~adj[low.bit_length() - 1] == low and all(
-                nb & ~adj[u] == 1 << u for u in _bits(nb)):
-            continue  # a clique neighbourhood: its first vertex is tested first
-        for h6 in _bits(nb):
-            common = nb & adj[h6]
-            if common.bit_count() < 4:  # 6 needs 2, 3, 4 and 5 too
-                continue
+    for h1 in range(g.n):
+        for h6 in _bits(adj[h1]):
+            common = adj[h1] & adj[h6]
             for h2 in _bits(common):
                 near = common & adj[h2]
                 far = common & ~adj[h2] & ~(1 << h2)

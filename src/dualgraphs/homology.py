@@ -35,17 +35,16 @@ itself (the complex, when it has no cone vertex).
 Before any link is built, a pure complex is offered a shelling: an order
 F_1, ..., F_m of its facets in which each F_k meets F_1 u ... u F_{k-1} in
 a pure complex of one dimension less. A shellable d-complex is a wedge of
-h_{d+1} d-spheres (Bjorner-Wachs 1996), and Cohen-Macaulay over every field,
-so normal: every link is Cohen-Macaulay, hence strongly connected
-(Hartshorne). A shellable pseudomanifold -- every ridge in exactly two
-facets -- is a PL sphere (Danaraj-Klee 1974), hence a homology sphere over
-every field; a shellable complex with a ridge in one facet or in three or
-more has a link of that ridge that is not a 0-sphere, so it is not one.
-The order is found greedily and re-verified against the h-vector (h_i
-counts the facets whose restriction set has i vertices). Only when the
-greedy pass gets stuck -- always on a complex that is not Cohen-Macaulay,
-sometimes on one that is -- are links swept, the boundary maps of the
-whole complex ranked and stars flooded.
+h_{d+1} d-spheres (Bjorner-Wachs 1996) and Cohen-Macaulay over every field,
+hence normal (Hartshorne: its links are CM, so strongly connected); a
+shellable pseudomanifold -- every ridge in exactly two facets -- is a PL
+sphere (Danaraj-Klee 1974), hence a homology sphere over every field, and
+a shellable complex with a ridge in one facet or in three or more has a
+link of that ridge that is not a 0-sphere, so it is not one. The order is
+found greedily and re-verified against the h-vector (h_i counts the facets
+whose restriction set has i vertices). Only when the greedy pass gets
+stuck -- always on a complex that is not Cohen-Macaulay, sometimes on one
+that is -- are links swept, boundary maps ranked and stars flooded.
 
 Results are kept in the complex's ``memo``: by ``graphs.kept``, the
 shelling, for every field at once, and per field the Cohen-Macaulay and
@@ -374,7 +373,7 @@ def regularity(
         if top > best:
             best = top
             best_mask = w
-    # The witness must re-verify against the full Betti computation.
+    # The witness re-verifies by its own profile (on a shelled one, its h_{d+1}).
     witness = core if best_mask == core_mask else cx.restrict_mask(best_mask)
     if reduced_betti_numbers(witness, field).betti(best - 1) <= 0:
         raise AssertionError("regularity witness failed re-verification")

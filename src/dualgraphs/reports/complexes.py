@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .. import graphs as graph_mod
 from .. import homology
-from ..errors import DEFAULT_MAX_HOCHSTER_VERTICES
+from ..errors import DEFAULT_MAX_HOCHSTER_VERTICES, ResourceCapError
 from . import (OMIT, _MENGER, _SMALL_CASES, Check, _diam_value, _graph_stats, _kappa,
                _run_checks, _small_case_verdict, _unless)
 
@@ -223,6 +223,14 @@ def build_complex_report(
             warnings=["void complex: nothing to analyze"],
         )
         return report
+
+    core = cx.core()  # over the cap, only a nonempty core shelled as a sphere skips the sweep
+    if cx.n_vertices > max_hochster_n and (not cx.is_pure or core.is_empty_complex or not (
+            homology.greedy_shelling(core) and homology._every_ridge_in_two_facets(core))):
+        raise ResourceCapError(
+            f"{cx.n_vertices} vertices exceed the regularity sweep cap"
+            f" {max_hochster_n} (2^n restrictions); raise --max-hochster-n"
+        )
 
     pure = cx.is_pure
     report["dimension"] = cx.dimension

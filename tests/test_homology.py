@@ -359,6 +359,33 @@ def test_a_shelled_report_ranks_no_whole_complex_profile(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("facets", [
+    RP2_FACETS,
+    UNSHELLED_CM,
+    crosspolytope_boundary(3).facet_labels()[1:],  # shelled, but with boundary ridges
+    full_simplex(5).facet_labels(),  # an empty core
+], ids=["rp2", "unshelled-cm", "octahedron-less-a-triangle", "simplex5"])
+def test_a_report_over_the_cap_is_refused_before_any_rank(monkeypatch, facets):
+    # 6 vertices over a cap of 5, and no nonempty core shelled as a sphere:
+    # the report refuses before it ranks a boundary map or floods a star
+    calls = []
+    monkeypatch.setattr(homology, "_ranks_profile", lambda *args: calls.append(args))
+    monkeypatch.setattr(homology, "reach", lambda *args: calls.append(args))
+    with pytest.raises(ResourceCapError, match="exceed the regularity sweep cap 5"):
+        build_complex_report(cx(facets), max_hochster_n=5)
+    assert calls == []
+
+
+def test_a_report_over_the_cap_runs_when_its_core_is_a_shelled_sphere():
+    # the octahedron and its cone run no regularity sweep
+    octahedron = crosspolytope_boundary(3)
+    cone = cx([f + ("apex",) for f in octahedron.facet_labels()])
+    for c, reg in ((octahedron, 3), (cone, 3)):
+        assert c.n_vertices > 5
+        report = build_complex_report(c, max_hochster_n=5)
+        assert report["fields"]["Q"]["regularity"] == reg
+
+
 def test_a_witness_v_found_by_the_sweep_re_verifies_on_the_complex(monkeypatch):
     # RP^2 is no sphere over GF(2), so the sweep runs and finds b~_2 != 0 at
     # W = V; that witness re-verifies on the report's own whole-complex
