@@ -17,7 +17,7 @@ _OWNERS = {
     "contains_forbidden_line_graph": "graphs",
     "crosspolytope_boundary": "complexes",
     "diameter": "graphs",
-    "dual_graph": "graphs",
+    "dual_graph": "homology",
     "edge_connectivity": "graphs",
     "full_simplex": "complexes",
     "generate_complex": "complexes",
@@ -29,7 +29,7 @@ _OWNERS = {
     "is_k_connected": "graphs",
     "is_normal": "homology",
     "menger_diameter_bounds": "graphs",
-    "non_revisiting_path": "graphs",
+    "non_revisiting_path": "homology",
     "prime_field": "linalg",
     "rank": "linalg",
     "reduced_betti_numbers": "homology",

@@ -47,7 +47,6 @@ from .graphs import (
     Graph,
     HirschVerdict,
     diameter,
-    dual_adjacency,
     hirsch_verdict,
     is_k_connected,
     kept,
@@ -223,6 +222,7 @@ def from_complex(cx: SimplicialComplex) -> SubspaceArrangement:
                 forms.append(tuple(row))
         components.append(tuple(forms))
     arr = SubspaceArrangement(n, components)
+    from .homology import dual_adjacency  # here: analyze-arrangement never loads homology
     if dual_edge_indices(arr) != dual_adjacency(cx):
         raise AssertionError("coordinate arrangement dual graph mismatch")
     return arr

@@ -55,6 +55,11 @@ vertex mask. A Q sweep reads the GF(2) link profiles, so a report over Q
 and GF(2) builds each link once. Nothing is cached at module level: the
 results die with the complex.
 
+A pure complex's dual graph joins the facets that share a ridge: its edges
+are the ridge adjacency ``cx.ridge_neighbors``. The non-revisiting verdict
+reads dual distances: a facet pair at distance |F \\ G| is joined by a
+monotone path, so only the other pairs are searched state by state.
+
 Torsion is invisible by design -- every question this package asks
 (vanishing below the top dimension, top Betti equal to one, Hochster-style
 restriction sweeps) is a field question answered by ranks of boundary maps.
@@ -62,12 +67,13 @@ restriction sweeps) is a field question answered by ranks of boundary maps.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex
 from .errors import DEFAULT_MAX_HOCHSTER_VERTICES, ResourceCapError
-from .errors import VoidComplexError
-from .graphs import _bits, kept, reach
+from .errors import EmptyGraphError, InputError, VoidComplexError
+from .graphs import Graph, _bits, _pairs, _spread, kept, reach
 from .linalg import QQ, FieldSpec, rank, rank_gf2_columns
 
 #: GF(2): every Betti profile over Q is first computed over it.
@@ -385,3 +391,106 @@ def regularity(
                 f"regularity {best} disagrees with h-degree {h_degree} on CM input"
             )
     return RegularityCertificate(best, cx.labels_of(best_mask), best)
+
+
+def dual_adjacency(cx: SimplicialComplex) -> frozenset[tuple[int, int]]:
+    """Dual edges as facet-index pairs: facets sharing a ridge."""
+    if cx.is_void:
+        raise EmptyGraphError("the void complex has no dual graph")
+    cx.require_pure("the dual graph")
+    return frozenset(_pairs(cx.ridge_neighbors))
+
+
+@kept
+def dual_graph(cx: SimplicialComplex) -> Graph:
+    """Graph on the facets; edges join facets sharing a codimension-1 face."""
+    edges_idx = dual_adjacency(cx)
+    labels = [",".join(map(str, f)) for f in cx.facet_labels()]
+    if len(set(labels)) != len(labels):
+        labels = [f"{i}:{lab}" for i, lab in enumerate(labels, start=1)]
+    return Graph(labels, [(labels[i], labels[j]) for i, j in edges_idx])
+
+
+def non_revisiting_path(cx: SimplicialComplex, start_facet, goal_facet):
+    """A dual path that never reenters the star of an abandoned vertex.
+
+    Breadth-first over (facet, abandoned-set) states, so the result is a
+    shortest non-revisiting path and ``None`` is a proof that none exists.
+    Returns the path as a tuple of facet label tuples.
+
+    Most pairs never need this search. A *monotone* dual path from F to G
+    drops only vertices outside G and adds only vertices of G, so a dropped
+    vertex never comes back: the path is non-revisiting. Each step changes
+    one vertex, so its length |F \\ G| is the least any dual path can have,
+    and this search returns a path of exactly that length. So
+    ``first_pair_without_nonrevisiting_path`` searches only the pairs whose
+    dual distance exceeds |F \\ G|.
+    """
+    cx.require_pure("non-revisiting search")
+    sm = cx.mask_of(start_facet)
+    gm = cx.mask_of(goal_facet)
+    facets = cx.facets
+    try:
+        si = facets.index(sm)
+        gi = facets.index(gm)
+    except ValueError:
+        raise InputError("endpoints must be facets") from None
+    if si == gi:
+        return (cx.labels_of(facets[si]),)
+    adj = cx.ridge_neighbors
+    start = (si, 0)
+    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        fi, abandoned = state
+        if fi == gi:
+            path = []
+            cur: tuple[int, int] | None = state
+            while cur is not None:
+                path.append(cx.labels_of(facets[cur[0]]))
+                cur = parent[cur]
+            return tuple(reversed(path))
+        for j in _bits(adj[fi]):
+            fj = facets[j]
+            if fj & abandoned:
+                continue
+            nxt = (j, abandoned | (facets[fi] & ~fj))
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+    return None
+
+
+@kept
+def first_pair_without_nonrevisiting_path(cx: SimplicialComplex):
+    """The first facet pair, in ``itertools.combinations`` order of the
+    facets, that no non-revisiting dual path joins, as two label tuples;
+    None when every pair is joined.
+
+    A dual step swaps one vertex for another, so a dual path from F to G
+    has at least |F \\ G| steps, and has exactly that many only when it is
+    monotone, hence non-revisiting (see ``non_revisiting_path``). One BFS
+    from each goal G, level by level on ``cx.ridge_neighbors``, settles
+    every start F on level |F \\ G|; only the other pairs, unreached starts
+    included, go to ``non_revisiting_path``, in sorted order. The verdict
+    does not depend on a field, so it is kept on ``cx``.
+    """
+    cx.require_pure("non-revisiting search")
+    facets, adj = cx.facets, cx.ridge_neighbors
+    open_pairs = []
+    for j, goal in enumerate(facets):
+        levels = [seen := 1 << j]
+        while level := _spread(adj, levels[-1]) & ~seen:
+            seen |= level
+            levels.append(level)
+        starts = (1 << j) - 1
+        open_pairs += [(i, j) for i in _bits(starts & ~seen)]
+        open_pairs += [(i, j) for k, level in enumerate(levels)
+                       for i in _bits(level & starts)
+                       if (facets[i] & ~goal).bit_count() < k]
+    for i, j in sorted(open_pairs):
+        pair = cx.labels_of(facets[i]), cx.labels_of(facets[j])
+        if non_revisiting_path(cx, *pair) is None:
+            return pair
+    return None

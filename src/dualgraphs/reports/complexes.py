@@ -42,7 +42,7 @@ def _h_degree(cx):
 
 def _verify_nonrevisiting(g, cx, f):
     diam, height = graph_mod.diameter(g), cx.height()
-    missing = graph_mod.first_pair_without_nonrevisiting_path(cx)
+    missing = homology.first_pair_without_nonrevisiting_path(cx)
     if missing is not None:
         f1, f2 = missing
         return False, (f"no non-revisiting path between"
@@ -282,7 +282,7 @@ def build_complex_report(
 
     g = dual = hirsch = None
     if pure:
-        g = graph_mod.dual_graph(cx)
+        g = homology.dual_graph(cx)
         diam = graph_mod.diameter(g)
         dual = _graph_stats(g)
         hirsch = {

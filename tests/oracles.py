@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import comb, gcd, inf, lcm
 
 from dualgraphs.complexes import SimplicialComplex
-from dualgraphs.graphs import Graph, diameter, non_revisiting_path
+from dualgraphs.graphs import Graph, diameter
+from dualgraphs.homology import non_revisiting_path
 
 
 def cx(facets) -> SimplicialComplex:

@@ -28,7 +28,6 @@ from dualgraphs.graphs import (
     complete_graph,
     contains_forbidden_line_graph,
     diameter,
-    dual_graph,
     edge_connectivity,
     forbidden_pattern,
     hirsch_verdict,
@@ -36,11 +35,16 @@ from dualgraphs.graphs import (
     is_k_connected,
     vertex_connectivity,
 )
-from dualgraphs.homology import is_cohen_macaulay, is_gorenstein, regularity
+from dualgraphs.homology import (
+    dual_graph,
+    is_cohen_macaulay,
+    is_gorenstein,
+    non_revisiting_path,
+    regularity,
+)
 from dualgraphs.lines import LineArrangement, ProjectiveLine, canonical_hirsch_verdict, genus
 from dualgraphs.lines import dual_graph as line_dual_graph
 from dualgraphs.linalg import QQ, prime_field
-from dualgraphs.graphs import non_revisiting_path
 from dualgraphs.reports import build_complex_report
 from oracles import (
     all_antichain_complexes,

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from math import inf
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -28,7 +29,8 @@ from dualgraphs.complexes import (
     tadpole_complex,
 )
 from dualgraphs.errors import HypothesisError, InputError, NotUnmixedError, SectionError
-from dualgraphs.graphs import HirschVerdict, diameter, dual_adjacency, vertex_connectivity
+from dualgraphs.graphs import HirschVerdict, diameter, vertex_connectivity
+from dualgraphs.homology import dual_adjacency
 from dualgraphs.linalg import integer_vector
 from dualgraphs.reports import STATUS_NA, build_complex_report
 from oracles import gauss_rank
@@ -154,6 +156,58 @@ def test_generic_section_retry_budget(monkeypatch):
     octa_arr = from_complex(crosspolytope_boundary(3))
     monkeypatch.setattr(arrangements_module, "_SECTION_MAX_ATTEMPTS", 0)
     with pytest.raises(SectionError, match="in 0 attempts"):
+        generic_hyperplane_section(octa_arr, seed=0)
+
+
+#: Coefficients of x6 in x1..x5 for the sections of the octahedron's
+#: coordinate arrangement, drawn at attempts 0-3. x6 -> x5 sends each
+#: component on x6 to the one on x5; x6 -> x1 folds x6 into x1, so the
+#: components on x1 and x6 drop to height 2; x6 -> x1 + x2 + x3 + x4 joins
+#: two facets at distance 2, each on x6, by a dual edge; the fourth draw is
+#: generic.
+SECTION_DRAWS = {0: (0, 0, 0, 0, 1), 1: (1, 0, 0, 0, 0), 2: (1, 1, 1, 1, 0),
+                 3: (1, 2, 3, 4, 5)}
+
+
+class ScriptedRandom(random.Random):
+    """``random.Random(seed)``, except that the section coefficients, drawn
+    by ``randint(1, _SECTION_COEFF_MAX)``, are those of ``SECTION_DRAWS[seed]``
+    in turn."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.coeffs = iter(SECTION_DRAWS.get(seed, ()))
+
+    def randint(self, low, high):
+        if (low, high) != (1, arrangements_module._SECTION_COEFF_MAX):
+            return super().randint(low, high)  # the Plücker screen's draws
+        return next(self.coeffs)
+
+
+def test_generic_section_retries_each_failed_postcondition(monkeypatch):
+    octa_arr = from_complex(crosspolytope_boundary(3))
+    monkeypatch.setattr(arrangements_module, "random", SimpleNamespace(Random=ScriptedRandom))
+    sliced = generic_hyperplane_section(octa_arr, seed=0)
+    k = SECTION_DRAWS[3]
+    assert sliced.rows == tuple(
+        tuple(tuple(a + row[-1] * c for a, c in zip(row[:-1], k)) for row in comp)
+        for comp in octa_arr.rows)
+    assert sliced.heights == octa_arr.heights
+    assert dual_edge_indices(sliced) == dual_edge_indices(octa_arr)
+
+
+@pytest.mark.parametrize("attempts, reason", [
+    (1, "components collapsed to a common row space"),
+    (2, r"component heights changed: \(3, 3, 3, 3, 3, 3, 3, 3\)"
+        r" -> \(3, 2, 3, 2, 3, 3, 3, 3\)"),
+    (3, "dual graph changed under the section"),
+])
+def test_generic_section_error_names_the_last_failure(monkeypatch, attempts, reason):
+    octa_arr = from_complex(crosspolytope_boundary(3))
+    monkeypatch.setattr(arrangements_module, "random", SimpleNamespace(Random=ScriptedRandom))
+    monkeypatch.setattr(arrangements_module, "_SECTION_MAX_ATTEMPTS", attempts)
+    with pytest.raises(SectionError,
+                       match=rf"in {attempts} attempts \(seed 0\): {reason}$"):
         generic_hyperplane_section(octa_arr, seed=0)
 
 

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from dualgraphs import homology
 from dualgraphs.complexes import SimplicialComplex, crosspolytope_boundary, full_simplex
-from dualgraphs.graphs import (
+from dualgraphs.homology import (
     dual_graph,
     first_pair_without_nonrevisiting_path,
     non_revisiting_path,
@@ -185,10 +185,10 @@ def test_the_verdict_searches_exactly_the_pairs_monotone_paths_leave_open(c):
             missing = expected[-1]
             break
     calls = []
-    search = graphs.non_revisiting_path
+    search = homology.non_revisiting_path
     c.memo.pop("first_pair_without_nonrevisiting_path", None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "non_revisiting_path",
+        mp.setattr(homology, "non_revisiting_path",
                    lambda cxv, *pair: calls.append(pair) or search(cxv, *pair))
         verdict = first_pair_without_nonrevisiting_path(c)
     assert calls == expected
@@ -206,11 +206,9 @@ def test_nonrevisiting_verdict_matches_the_all_pairs_search(c):
 
 
 def test_nonrevisiting_verdict_is_kept_on_the_complex(monkeypatch):
-    from dualgraphs import graphs
-
     calls = []
-    search = graphs.non_revisiting_path
-    monkeypatch.setattr(graphs, "non_revisiting_path",
+    search = homology.non_revisiting_path
+    monkeypatch.setattr(homology, "non_revisiting_path",
                         lambda *args: calls.append(args) or search(*args))
     octa = crosspolytope_boundary(4)
     assert first_pair_without_nonrevisiting_path(octa) is None
@@ -226,6 +224,17 @@ def test_nonrevisiting_verdict_is_kept_on_the_complex(monkeypatch):
     assert searched
     assert first_pair_without_nonrevisiting_path(join) is None
     assert len(calls) == searched
+
+
+def test_a_diameter_above_the_height_fails_the_nonrevisiting_check():
+    # the octahedron is a flag sphere of height 3 whose dual graph, the
+    # 3-cube, has diameter 3; a kept diameter of 4 fails the check although
+    # every facet pair is joined
+    octa = crosspolytope_boundary(3)
+    dual_graph(octa).memo["diameter"] = octa.height() + 1
+    report = build_complex_report(octa)
+    [check] = [c for c in report["checks"] if c["id"] == "flag_cm_nonrevisiting"]
+    assert (check["status"], check["detail"]) == ("fail", "diameter 4 > height 3")
 
 
 class _CountingMemo(dict):

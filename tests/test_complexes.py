@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dualgraphs import graphs, homology
+from dualgraphs import homology
 from dualgraphs.complexes import (
     SimplicialComplex,
     crosspolytope_boundary,
@@ -63,17 +63,17 @@ NOT_CLASSIFIED = (VoidComplexError, "the void complex is not classified")
     (homology.is_gorenstein, VOID, *NOT_CLASSIFIED),
     (homology.is_normal, VOID, *NOT_CLASSIFIED),
     (homology.regularity, VOID, VoidComplexError, "the void complex has no regularity"),
-    (graphs.dual_adjacency, VOID, EmptyGraphError, "the void complex has no dual graph"),
+    (homology.dual_adjacency, VOID, EmptyGraphError, "the void complex has no dual graph"),
     (homology.is_homology_sphere, NON_PURE, NonPureComplexError,
      "homology-sphere test requires a pure complex"),
     (homology.is_normal, NON_PURE, NonPureComplexError, "normality requires a pure complex"),
-    (graphs.dual_adjacency, NON_PURE, NonPureComplexError,
+    (homology.dual_adjacency, NON_PURE, NonPureComplexError,
      "the dual graph requires a pure complex"),
-    (lambda c: graphs.non_revisiting_path(c, (1, 2, 3), (3, 4)), NON_PURE,
+    (lambda c: homology.non_revisiting_path(c, (1, 2, 3), (3, 4)), NON_PURE,
      NonPureComplexError, "non-revisiting search requires a pure complex"),
-    (graphs.first_pair_without_nonrevisiting_path, NON_PURE, NonPureComplexError,
+    (homology.first_pair_without_nonrevisiting_path, NON_PURE, NonPureComplexError,
      "non-revisiting search requires a pure complex"),
-    (lambda c: graphs.non_revisiting_path(c, (1,), (2, 3)), PATH, InputError,
+    (lambda c: homology.non_revisiting_path(c, (1,), (2, 3)), PATH, InputError,
      "endpoints must be facets"),
 ])
 def test_guards_refuse_with_their_class_and_message(call, complex_, error, message):

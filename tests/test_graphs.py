@@ -22,7 +22,6 @@ from dualgraphs.graphs import (
     degree_diameter_bound,
     degree_vertex_bound,
     diameter,
-    dual_graph,
     edge_connectivity,
     forbidden_pattern,
     format_graph_text,
@@ -32,12 +31,12 @@ from dualgraphs.graphs import (
     is_k_connected,
     larman_diameter_bound,
     menger_diameter_bounds,
-    non_revisiting_path,
     parse_graph_text,
     path_graph,
     regularity_vertex_bound,
     vertex_connectivity,
 )
+from dualgraphs.homology import dual_graph, non_revisiting_path
 from oracles import (
     bf_diameter,
     bf_edge_connectivity,
@@ -59,6 +58,8 @@ def test_graph_basics():
         Graph([1, 2], [(1, 1)])
     with pytest.raises(InputError):
         Graph([1], [(1, 2)])
+    with pytest.raises(InputError, match="duplicate vertex labels"):
+        Graph([1, 2, 1], [])
 
 
 def test_dual_graph_crosspolytope_is_cycle():
@@ -141,6 +142,8 @@ def test_menger_diameter_bounds():
         menger_diameter_bounds(3, 3, 3)
     with pytest.raises(InputError):
         menger_diameter_bounds(4, 4, 0)
+    with pytest.raises(InputError, match="edge count must be >= 0"):
+        menger_diameter_bounds(4, -1, 1)
 
 
 def test_hirsch_verdict():
@@ -381,7 +384,15 @@ def test_connectivity_reports_the_source_closest_cut_of_the_first_least_pair(g):
 
 
 @pytest.mark.parametrize("g", DENSE_GRAPHS)
-def test_dense_graphs_report_the_source_closest_cut_of_the_first_least_pair(g, monkeypatch):
+def test_dense_graphs_report_the_source_closest_cut_of_the_first_least_pair(g):
+    assert vertex_connectivity(g) == bf_vertex_cut_witness(g)
+    assert edge_connectivity(g) == bf_edge_cut_witness(g)
+
+
+def test_dense_graphs_start_pairs_from_common_neighbour_paths(monkeypatch):
+    # Every dense graph but one draws a vertex-connectivity pair with a seed.
+    # G(12,0.5)-seed2 has kappa = 1: its first pair has no common neighbour,
+    # reaches the floor and ends the loop.
     seeds = []
     least_flow = graphs._least_flow
 
@@ -393,9 +404,14 @@ def test_dense_graphs_report_the_source_closest_cut_of_the_first_least_pair(g, m
         return least_flow(arcs, unit, seen(), floor)
 
     monkeypatch.setattr(graphs, "_least_flow", spy)
-    assert vertex_connectivity(g) == bf_vertex_cut_witness(g)
-    assert any(seeds)  # some pair started from common-neighbour paths
-    assert edge_connectivity(g) == bf_edge_cut_witness(g)
+    unseeded = []
+    for param in DENSE_GRAPHS:
+        g = param.values[0]
+        seeds.clear()
+        vertex_connectivity(Graph(g.vertices, g.edges))  # a fresh memo
+        if not any(seeds):
+            unseeded.append(param.id)
+    assert unseeded == ["G(12,0.5)-seed2"]
 
 
 def test_vertex_connectivity_of_a_connected_graph_stops_at_a_pair_of_value_one(monkeypatch):
@@ -414,9 +430,9 @@ def test_vertex_connectivity_of_a_connected_graph_stops_at_a_pair_of_value_one(m
     unfloored = vertex_connectivity(path_graph(40))
     monkeypatch.setattr(graphs, "_least_flow", counting)
     # the same least pair and cut as a schedule run to its end; of the 38
-    # pairs only the first runs a flow, and the loop ends as it draws the next
+    # pairs only the first is drawn: its flow reaches the floor
     assert vertex_connectivity(path_graph(40)) == unfloored == (1, ("2",))
-    assert len(consumed) == 2
+    assert len(consumed) == 1
 
 
 def test_connectivity_values_match_networkx_beyond_brute_force_size():

@@ -17,13 +17,13 @@ from dualgraphs.complexes import (
 from dualgraphs.graphs import (
     Graph,
     diameter,
-    dual_graph,
     edge_connectivity,
     is_connected,
     menger_diameter_bounds,
     vertex_connectivity,
 )
 from dualgraphs.homology import (
+    dual_graph,
     is_cohen_macaulay,
     is_normal,
     reduced_betti_numbers,
@@ -324,7 +324,7 @@ def test_join_additivity_of_diameter_and_height():
 
 @given(pure_complexes(max_vertices=5))
 def test_dual_adjacency_is_symmetric_difference_two(c):
-    from dualgraphs.graphs import dual_adjacency
+    from dualgraphs.homology import dual_adjacency
 
     facets = c.facets
     edges = dual_adjacency(c)

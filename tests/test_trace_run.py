@@ -5,6 +5,10 @@ resolves the builders on first use; a wrapper that is installed but never
 called would read ``reports.build_s = 0`` while every name still resolves.
 So each case runs the tracer in a fresh interpreter, checks that it counted
 one build with some time, and that it printed what the plain CLI prints.
+
+The complex's dual graph lives in ``dualgraphs.homology``, while the tracer
+looks up ``graphs.dual_graph`` and ``graphs.dual_adjacency``; each case also
+checks that these spans count the complex report's one dual-graph build.
 """
 
 import json
@@ -26,12 +30,12 @@ def _python(*argv):
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("family, parameter, command", [
-    ("crosspolytope", "2", "analyze-complex"),
-    ("hypercube", "3", "check-graph"),
+@pytest.mark.parametrize("family, parameter, command, dual_builds", [
+    ("crosspolytope", "2", "analyze-complex", 1),
+    ("hypercube", "3", "check-graph", 0),
 ])
 def test_traced_run_times_one_report_build_and_prints_the_report(
-        tmp_path, family, parameter, command, fmt):
+        tmp_path, family, parameter, command, dual_builds, fmt):
     path = tmp_path / f"{family}.txt"
     assert _python("-m", "dualgraphs.cli", "generate", family, parameter,
                    "--out", str(path)).returncode == 0
@@ -44,5 +48,7 @@ def test_traced_run_times_one_report_build_and_prints_the_report(
     assert trace["exit"] == 0
     assert trace["calls"]["reports.build"] == 1
     assert trace["group_s"]["reports.build"] > 0
+    assert trace["calls"]["graphs.dual_graph"] == dual_builds
+    assert trace["calls"]["graphs.dual_adjacency"] == dual_builds
     assert plain.returncode == 0
     assert traced.stdout == plain.stdout
