@@ -41,10 +41,11 @@ shellable pseudomanifold -- every ridge in exactly two facets -- is a PL
 sphere (Danaraj-Klee 1974), hence a homology sphere over every field, and
 a shellable complex with a ridge in one facet or in three or more has a
 link of that ridge that is not a 0-sphere, so it is not one. The order is
-found greedily and re-verified against the h-vector (h_i counts the facets
-whose restriction set has i vertices). Only when the greedy pass gets
-stuck -- always on a complex that is not Cohen-Macaulay, sometimes on one
-that is -- are links swept, boundary maps ranked and stars flooded.
+found greedily on one mask of placed facets per vertex (``greedy_shelling``)
+and re-verified against the h-vector (h_i counts the facets whose
+restriction set has i vertices). Only when the greedy pass gets stuck --
+always on a complex that is not Cohen-Macaulay, sometimes on one that is --
+are links swept, boundary maps ranked and stars flooded.
 
 Results are kept in the complex's ``memo``: by ``graphs.kept``, the
 shelling, for every field at once, and per field the Cohen-Macaulay and
@@ -67,6 +68,7 @@ restriction sweeps) is a field question answered by ranks of boundary maps.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import NamedTuple
 
@@ -195,38 +197,35 @@ def greedy_shelling(cx: SimplicialComplex) -> tuple[int, ...] | None:
     indices, or None when the greedy pass gets stuck; kept on ``cx``.
 
     With R(G) the vertices v such that G - v lies in a placed dual
-    neighbour of G, an unplaced facet G may come next when R(G) is nonempty
-    and (G \\ P) meets R(G) for every placed facet P: then every G n P lies
-    in some G - v with v in R(G). The pass places the first facet, then
-    always the lowest-indexed facet that may come next. Each candidate keeps
-    its R(G) and the list of placed facets that still block it, so the pass
-    takes O(d m^2) steps on m facets of d vertices.
+    neighbour of G, a facet G may come next when R(G) is nonempty and no
+    placed facet contains it, as then every G n P lies in some G - v with v
+    in R(G): when the AND over R(G) of ``holders[v]``, the mask of placed
+    facets holding v, is 0. A placed facet never passes. The pass places
+    the first facet, then always the lowest one that may come next, tested
+    when popped from a heap that takes G whenever R(G) grows: ``holders``
+    only grows, so a blocked G stays blocked until then.
     """
-    facets = cx.facets
-    m = len(facets)
-    placed = [False] * m
-    restriction = [0] * m
-    blockers: list[list[int]] = [[] for _ in range(m)]
+    facets, order, heap = cx.facets, [], [0]
+    restriction, holders = [0] * len(facets), [0] * cx.n_vertices
     h = [0] * (cx.dimension + 2)
-    order: list[int] = []
-    nxt: int | None = 0
-    while nxt is not None:
-        placed[nxt] = True
-        order.append(nxt)
-        h[restriction[nxt].bit_count()] += 1
-        fp = facets[nxt]
-        for j in _bits(cx.ridge_neighbors[nxt]):
-            v = facets[j] & ~fp
-            if not placed[j] and not restriction[j] & v:
+    while heap:
+        g = heapq.heappop(heap)
+        held = -1 if order else 0  # an empty R(G) blocks every facet but the first
+        for v in _bits(restriction[g]):
+            held &= holders[v]
+        if held:
+            continue
+        order.append(g)
+        h[restriction[g].bit_count()] += 1
+        fg = facets[g]
+        for v in _bits(fg):
+            holders[v] |= 1 << g
+        for j in _bits(cx.ridge_neighbors[g]):
+            v = facets[j] & ~fg
+            if not restriction[j] & v:
                 restriction[j] |= v
-                blockers[j] = [p for p in blockers[j]
-                               if not facets[j] & ~facets[p] & restriction[j]]
-        for j in range(m):
-            if not placed[j] and not facets[j] & ~fp & restriction[j]:
-                blockers[j].append(nxt)
-        nxt = next((j for j in range(m) if not placed[j] and restriction[j]
-                    and not blockers[j]), None)
-    if len(order) < m:
+                heapq.heappush(heap, j)
+    if len(order) < len(facets):
         return None
     if tuple(h) != cx.h_vector:
         raise AssertionError("shelling failed re-verification against the h-vector")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, gcd, inf, lcm
 
 from dualgraphs.complexes import SimplicialComplex
-from dualgraphs.graphs import Graph, diameter
+from dualgraphs.graphs import Graph, _bits, diameter
 from dualgraphs.homology import non_revisiting_path
 
 
@@ -557,6 +557,49 @@ def bf_is_shelling(cxv: SimplicialComplex, order) -> bool:
         if any(len(c) != len(fk) - 1 for c in maximal):
             return False
     return True
+
+
+def blocker_list_shelling(cxv: SimplicialComplex) -> tuple[int, ...] | None:
+    """The greedy shelling order of ``homology.greedy_shelling``, as facet
+    indices, or None when the pass gets stuck; the order reference.
+
+    With R(G) the vertices v such that G - v lies in a placed dual
+    neighbour of G, an unplaced facet G may come next when R(G) is nonempty
+    and (G \\ P) meets R(G) for every placed facet P. The pass places the
+    first facet, then always the lowest-indexed facet that may come next.
+    Each candidate keeps its R(G) and the list of placed facets that still
+    block it, and every facet is rescanned after each placement: O(d m^2)
+    steps on m facets of d vertices.
+    """
+    facets = cxv.facets
+    m = len(facets)
+    placed = [False] * m
+    restriction = [0] * m
+    blockers: list[list[int]] = [[] for _ in range(m)]
+    h = [0] * (cxv.dimension + 2)
+    order: list[int] = []
+    nxt: int | None = 0
+    while nxt is not None:
+        placed[nxt] = True
+        order.append(nxt)
+        h[restriction[nxt].bit_count()] += 1
+        fp = facets[nxt]
+        for j in _bits(cxv.ridge_neighbors[nxt]):
+            v = facets[j] & ~fp
+            if not placed[j] and not restriction[j] & v:
+                restriction[j] |= v
+                blockers[j] = [p for p in blockers[j]
+                               if not facets[j] & ~facets[p] & restriction[j]]
+        for j in range(m):
+            if not placed[j] and not facets[j] & ~fp & restriction[j]:
+                blockers[j].append(nxt)
+        nxt = next((j for j in range(m) if not placed[j] and restriction[j]
+                    and not blockers[j]), None)
+    if len(order) < m:
+        return None
+    if tuple(h) != cxv.h_vector:
+        raise AssertionError("shelling failed re-verification against the h-vector")
+    return tuple(order)
 
 
 def bf_regularity(cxv: SimplicialComplex, field):

@@ -23,6 +23,7 @@ from dualgraphs.arrangements import (
     screen_matrices,
 )
 from dualgraphs.complexes import (
+    SimplicialComplex,
     crosspolytope_boundary,
     full_simplex,
     simplex_boundary,
@@ -96,6 +97,24 @@ def test_from_complex_matches_combinatorial_dual():
         assert arr.n_components == c.n_facets
         assert arr.heights == tuple([c.height()] * c.n_facets)
         assert dual_edge_indices(arr) == dual_adjacency(c)
+
+
+def test_from_complex_guards_and_postcondition(monkeypatch):
+    with pytest.raises(HypothesisError, match="coordinate arrangements need a pure complex"):
+        from_complex(SimplicialComplex.from_facets([(1, 2, 3), (3, 4)]))
+    arr = from_complex(crosspolytope_boundary(2))
+    assert repr(arr) == "SubspaceArrangement(4 components in 4 variables)"
+    # a dual graph that disagrees with the complex's fails the postcondition
+    monkeypatch.setattr(arrangements_module, "dual_edge_indices", lambda arr: frozenset())
+    with pytest.raises(AssertionError, match="coordinate arrangement dual graph mismatch"):
+        from_complex(crosspolytope_boundary(2))
+
+
+def test_regularity_connectivity_needs_an_unmixed_arrangement():
+    mixed = SubspaceArrangement(4, [[_e(0)], [_e(0), _e(1)]])
+    with pytest.raises(NotUnmixedError,
+                       match="connectivity check requires an unmixed arrangement"):
+        check_regularity_connectivity(mixed, 1)
 
 
 def test_from_complex_three_cycle():

@@ -9,13 +9,21 @@ boundary ranks and by the star flood; the monotone marks by the exact
 search and by path enumeration.
 """
 
+import functools
 import itertools
+import json
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dualgraphs import homology
-from dualgraphs.complexes import SimplicialComplex, crosspolytope_boundary, full_simplex
+from dualgraphs.complexes import (
+    SimplicialComplex,
+    crosspolytope_boundary,
+    full_simplex,
+    simplex_boundary,
+    tadpole_complex,
+)
 from dualgraphs.homology import (
     dual_graph,
     first_pair_without_nonrevisiting_path,
@@ -30,12 +38,13 @@ from oracles import (
     bf_nonrevisiting_exists,
     bf_reduced_betti,
     bf_reisner,
+    blocker_list_shelling,
     cx,
     monotone_starts,
     pure_families,
 )
-from test_homology import RP2_FACETS
-from test_properties import SPHERES, pure_complexes, spheres
+from test_homology import RP2_FACETS, UNSHELLED_CM
+from test_properties import SPHERES, complexes, pure_complexes, spheres
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -63,6 +72,13 @@ def check_shelling_certificate(c: SimplicialComplex):
                 homology.is_homology_sphere(c, field)) == expected
 
 
+def check_blocker_list_order(c: SimplicialComplex):
+    """The mask pass places the facets in the order of the blocker-list
+    pass, or both get stuck."""
+    fresh = SimplicialComplex.from_facets(c.facet_labels())
+    assert homology.greedy_shelling(c) == blocker_list_shelling(fresh)
+
+
 def _isomorphism_classes(n: int):
     """One representative of each family of k-subsets of {1..n}, k >= 1, up
     to relabelling the vertices: the certificates and Reisner's criterion do
@@ -84,6 +100,7 @@ def test_shelling_certificate_exhaustive(n):
     for family in _isomorphism_classes(n):
         c = cx(family)
         check_shelling_certificate(c)
+        check_blocker_list_order(c)
         shelled += homology.greedy_shelling(c) is not None
     assert shelled
 
@@ -102,6 +119,31 @@ def test_shelling_settles_the_crosspolytope_without_links():
     assert order is not None and bf_is_shelling(c, [c.facet_labels()[i] for i in order])
     assert homology.is_homology_sphere(c, QQ) and homology.is_homology_sphere(c, GF2)
     assert ("link", QQ) not in c.memo and ("link", GF2) not in c.memo
+
+
+# a pass that drops a facet's re-test when its R(G) grows differs on about
+# one complex in fifty of this strategy: hence more examples than the default
+@settings(max_examples=400)
+@given(pure_complexes(max_vertices=8, max_facets=20))
+def test_shelling_order_is_the_blocker_list_order(c):
+    check_blocker_list_order(c)
+
+
+#: Named complexes for the order reference: shelled spheres and a ball, and
+#: a Cohen-Macaulay complex on which both passes get stuck
+ORDER_EXAMPLES = {
+    **{f"crosspolytope{r}": crosspolytope_boundary(r) for r in range(2, 10)},
+    "join3x3": functools.reduce(SimplicialComplex.join, [simplex_boundary(3)] * 3),
+    "unshelled-cm": cx(UNSHELLED_CM),
+    "octahedron-less-a-triangle": cx(crosspolytope_boundary(3).facet_labels()[1:]),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_EXAMPLES)
+def test_shelling_order_is_the_blocker_list_order_on_named_complexes(name):
+    c = SimplicialComplex.from_facets(ORDER_EXAMPLES[name].facet_labels())  # fresh memo
+    check_blocker_list_order(c)
+    assert (homology.greedy_shelling(c) is None) == (name == "unshelled-cm")
 
 
 #: Shellable complexes besides the spheres: balls, points and a simplex.
@@ -152,6 +194,25 @@ def test_a_shelling_settles_the_betti_profile_and_normality_on_named_complexes(n
     c = SimplicialComplex.from_facets(SHELLABLE[name].facet_labels())  # fresh memo
     check_shelled_betti(c)
     check_normal_by_flood(c)
+
+
+def _report_json(facets, shortcuts: bool) -> str:
+    """The JSON report over Q, GF(2) and GF(3) of a fresh complex; without
+    shortcuts no shelling is found and no Q profile is read off GF(2)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not shortcuts:
+            mp.setattr(homology, "greedy_shelling", lambda cxv: None)
+            mp.setattr(homology, "_certified_by_gf2", lambda mod2: None)
+        return json.dumps(build_complex_report(SimplicialComplex.from_facets(facets), FIELDS))
+
+
+@given(st.one_of(complexes(max_vertices=8), pure_complexes(max_vertices=8)))
+@example(cx(RP2_FACETS))
+@example(cx([f + ("apex",) for f in RP2_FACETS]))
+@example(tadpole_complex())
+def test_the_shortcuts_leave_the_report_unchanged(c):
+    facets = c.facet_labels()
+    assert _report_json(facets, shortcuts=True) == _report_json(facets, shortcuts=False)
 
 
 @given(pure_complexes(max_vertices=6, max_facets=8), st.data())

@@ -328,6 +328,40 @@ def test_negative_count_is_an_input_error(capsys, tmp_path, command, flag, text)
     assert err.startswith(f"error: {flag} must be >= 0") and err.count("\n") == 1
 
 
+_FULL_HEIGHT = {"variables": 3, "components": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["analyze-complex", "{path}", "--field", "gf:9"], None, "9 is not prime"),
+    (["generate", "simplex", "0"], None, "simplex parameter must be >= 1"),
+    (["generate", "crosspolytope"], None, "crosspolytope needs a parameter r >= 1"),
+    (["generate", "hypercube", "0"], None, "hypercube dimension must be >= 1"),
+    (["generate", "path", "0"], None, "path length must be >= 1 vertex"),
+    (["generate", "complete", "0"], None, "complete graph needs >= 1 vertex"),
+    (["generate", "hypercube"], None, "hypercube needs a parameter n >= 1"),
+    (["analyze-arrangement", "{path}"], {"variables": 0, "components": [[]]},
+     "need at least one variable"),
+    (["analyze-arrangement", "{path}"], {"variables": 2, "components": [[[1, 0, 0]]]},
+     "form has 3 coefficients, expected 2"),
+    (["analyze-arrangement", "{path}"], {"variables": 2, "components": []},
+     "arrangement needs at least one component"),
+    (["analyze-arrangement", "{path}", "--section", "1"], _FULL_HEIGHT,
+     "a component already has full height"),
+    (["analyze-arrangement", "{path}", "--regularity-certificate", "-1"],
+     {"variables": 3, "components": [[]]}, "connectivity level r must be >= 0"),
+    (["analyze-lines", "{path}"], {"ambient_dim": 0, "lines": [{"points": [[1], [0]]}]},
+     "ambient dimension must be >= 1"),
+], ids=["field-gf9", "simplex-0", "crosspolytope-no-parameter", "hypercube-0", "path-0",
+        "complete-0", "hypercube-no-parameter", "zero-variables", "form-length",
+        "no-components", "section-on-full-height", "negative-certificate",
+        "ambient-dim-0"])
+def test_out_of_range_input_is_an_input_error(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "input"
+    path.write_text("1 2\n" if data is None else json.dumps(data))
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("typed", ["0", "5", "1,0"])
 def test_ds_subset_error_names_the_typed_index(capsys, typed):
     code, out, err = run(capsys, "analyze-arrangement",

@@ -45,7 +45,9 @@ def test_from_facets_four_cycle():
 def test_void_and_empty_facet_rejection():
     with pytest.raises(VoidComplexError):
         SimplicialComplex.from_facets([])
-    assert SimplicialComplex.from_facets([], allow_void=True).is_void
+    void = SimplicialComplex.from_facets([], allow_void=True)
+    assert void.is_void and void.faces == frozenset()
+    assert repr(void) == "SimplicialComplex(void)"
     with pytest.raises(InputError):
         SimplicialComplex.from_facets([set()])
 
@@ -75,6 +77,20 @@ NOT_CLASSIFIED = (VoidComplexError, "the void complex is not classified")
      "non-revisiting search requires a pure complex"),
     (lambda c: homology.non_revisiting_path(c, (1,), (2, 3)), PATH, InputError,
      "endpoints must be facets"),
+    (lambda c: c.dimension, VOID, VoidComplexError, "the void complex has no dimension"),
+    (lambda c: c.is_pure, VOID, VoidComplexError, "the void complex has no facets"),
+    (lambda c: c.faces_by_card, VOID, VoidComplexError, "the void complex has no faces"),
+    (lambda c: c.cone_mask, VOID, VoidComplexError, "the void complex has no facets"),
+    (lambda c: c.minimal_nonfaces, VOID, VoidComplexError, "the void complex has no nonfaces"),
+    (lambda c: c.mask_of((1, 9)), PATH, NotAFaceError, "unknown vertex 9"),
+    (lambda c: c.link_mask(0b101), PATH, NotAFaceError, "mask is not a face"),
+    (lambda c: SimplicialComplex(("a", "a"), (0b11,)), None, InputError,
+     "duplicate vertex labels"),
+    (lambda c: SimplicialComplex.from_facets([("a b",)]), None, InputError,
+     "bad vertex token 'a b'"),
+    (lambda c: full_simplex(-1), None, InputError, "simplex dimension must be >= 0"),
+    (lambda c: format_facet_text(cx([("#a", "b")])), None, InputError,
+     "label '#a' cannot be written as a facet token"),
 ])
 def test_guards_refuse_with_their_class_and_message(call, complex_, error, message):
     with pytest.raises(error) as caught:
@@ -94,6 +110,14 @@ def test_h_vectors():
     assert full_simplex(2).h_vector == (1, 0, 0, 0)
     with pytest.raises(NonPureComplexError):
         cx([{1, 2, 3}, {4, 5}]).h_vector
+
+
+def test_an_h_vector_off_the_facet_count_fails_re_verification():
+    # a planted f-vector with a ninth triangle: the h-vector sums to 9, not 8
+    octa = crosspolytope_boundary(3)
+    octa.__dict__["f_vector"] = (1, 6, 12, 9)
+    with pytest.raises(AssertionError, match="h-vector does not sum to the facet count"):
+        octa.h_vector
 
 
 def test_multiplicity():

@@ -40,3 +40,7 @@ def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(dualgraphs, "_nosuch")
     with pytest.raises(ImportError):
         exec("from dualgraphs import nosuch", {})
+    from dualgraphs import reports
+
+    with pytest.raises(AttributeError, match="module 'dualgraphs.reports' has no attribute 'nosuch'"):
+        reports.nosuch

@@ -28,6 +28,7 @@ from dualgraphs.graphs import (
     generate_graph,
     hirsch_verdict,
     hypercube_graph,
+    is_connected,
     is_k_connected,
     larman_diameter_bound,
     menger_diameter_bounds,
@@ -144,6 +145,51 @@ def test_menger_diameter_bounds():
         menger_diameter_bounds(4, 4, 0)
     with pytest.raises(InputError, match="edge count must be >= 0"):
         menger_diameter_bounds(4, -1, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph([], []).min_degree(), EmptyGraphError, "empty graph"),
+    (lambda: is_connected(Graph([], [])), EmptyGraphError, "empty graph"),
+    (lambda: vertex_connectivity(Graph([1], [])), EmptyGraphError,
+     "vertex connectivity needs at least 2 vertices"),
+    (lambda: edge_connectivity(Graph([1], [])), EmptyGraphError,
+     "edge connectivity needs at least 2 vertices"),
+    (lambda: is_k_connected(complete_graph(3), -1), InputError,
+     "connectivity level must be >= 0"),
+    (lambda: degree_vertex_bound(0, 1), InputError, "degree and height must be >= 1"),
+    (lambda: regularity_vertex_bound(0, 1), InputError, "need height >= 1 and regularity >= 0"),
+    (lambda: larman_diameter_bound(0, 1), InputError, "need n >= 1 and c >= 1"),
+    (lambda: degree_diameter_bound(2, 1), InputError, "need degree >= 1 and height >= 2"),
+], ids=["min-degree", "is-connected", "kappa", "lambda", "k-connected", "degree-vertex",
+        "regularity-vertex", "larman", "degree-diameter"])
+def test_graph_guards_refuse_with_their_class_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_cut_that_leaves_the_graph_connected_fails_re_verification(monkeypatch):
+    # the 4-cycle has kappa = lambda = 2; a flow search that reports the value
+    # with an empty source side gives an empty cut, so the graph stays connected
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1)]
+    g = Graph.from_edges(edges)
+    vertex_connectivity(g)  # kept, so the edge cut below is the one spied on
+    monkeypatch.setattr(graphs, "_least_flow", lambda *args, **kwargs: (2, 0))
+    with pytest.raises(AssertionError, match="vertex cut witness failed re-verification"):
+        vertex_connectivity(Graph.from_edges(edges))
+    with pytest.raises(AssertionError, match="edge cut witness failed re-verification"):
+        edge_connectivity(g)
+
+
+def test_a_witness_that_is_not_the_pattern_fails_re_verification(monkeypatch):
+    # the search places the real pattern; checked against the pattern less
+    # its edge 1-2, the embedding is not induced
+    host = forbidden_pattern()
+    labels = [str(i) for i in range(1, 7)]
+    monkeypatch.setattr(graphs, "forbidden_pattern",
+                        lambda: Graph(labels, FORBIDDEN_PATTERN_EDGES[1:]))
+    with pytest.raises(AssertionError, match="induced-subgraph witness failed re-verification"):
+        contains_forbidden_line_graph(host)
 
 
 def test_hirsch_verdict():

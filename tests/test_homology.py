@@ -407,6 +407,29 @@ def test_a_false_sphere_verdict_fails_the_witness(monkeypatch, field):
         regularity(ball, field)
 
 
+def test_a_wrong_h_vector_fails_the_shelling():
+    # the octahedron shells with h = (1, 3, 3, 1); a planted h_3 = 2 fails it
+    octahedron = crosspolytope_boundary(3)
+    octahedron.__dict__["h_vector"] = (1, 3, 3, 2)
+    with pytest.raises(AssertionError, match="shelling failed re-verification against the h-vector"):
+        homology.greedy_shelling(octahedron)
+
+
+def test_a_false_cohen_macaulay_verdict_fails_the_h_degree_cross_check(monkeypatch):
+    # two disjoint edges: regularity 1, h = (1, 2, -1) of degree 2
+    edges = cx([(1, 2), (3, 4)])
+    monkeypatch.setattr(homology, "is_cohen_macaulay", lambda cx, field: True)
+    with pytest.raises(AssertionError,
+                       match="regularity 1 disagrees with h-degree 2 on CM input"):
+        regularity(edges)
+
+
+def test_betti_numbers_outside_the_profile_are_zero():
+    profile = reduced_betti_numbers(crosspolytope_boundary(3))
+    assert profile.reduced == (0, 0, 0, 1)
+    assert profile.betti(-2) == profile.betti(3) == 0 and profile.betti(2) == 1
+
+
 def test_homology_results_die_with_the_complex():
     c = crosspolytope_boundary(3)
     assert is_homology_sphere(c, QQ) and regularity(c, GF2).value == 3

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+import dualgraphs.linalg as linalg_module
 from dualgraphs.errors import FieldError, InputError
 from dualgraphs.linalg import (
     QQ,
@@ -189,6 +190,14 @@ def test_integer_kernel_small_cases():
     assert nullspace([[2, 0], [0, 3]], 2) == (2, [])
     # the last pivot is -6; the vector is primitive, positive at the free column
     assert nullspace([[2, 4, 1], [1, -1, 0]], 3) == (2, [(-1, -1, 6)])
+
+
+def test_a_kernel_vector_off_the_kernel_fails_re_verification(monkeypatch):
+    # the row (1, 1) has kernel (-1, 1); a wrong echelon form (1, 2) gives
+    # the vector (-2, 1), which does not annihilate it
+    monkeypatch.setattr(linalg_module, "rref", lambda rows, width: ([[1, 2]], [0], 1))
+    with pytest.raises(AssertionError, match="integer kernel vector does not annihilate the rows"):
+        nullspace([[1, 1]], 2)
 
 
 def test_rref_and_nullspace():

@@ -79,6 +79,17 @@ def test_projective_line_validation():
         P(2, (1, 0), (0, 1))  # wrong coordinate length
 
 
+def test_arrangement_and_intersection_guards():
+    plane = P(2, (1, 0, 0), (0, 1, 0))
+    space = P(3, (1, 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(InputError, match="arrangement entries must be ProjectiveLine"):
+        LineArrangement(2, [plane, ((1, 0, 0), (0, 0, 1))])
+    with pytest.raises(InputError, match="all lines must share the ambient dimension"):
+        LineArrangement(2, [plane, space])
+    with pytest.raises(InputError, match="lines live in different ambient spaces"):
+        intersects(plane, space)
+
+
 def test_intersects_coordinate_axes():
     lx = P(2, (0, 1, 0), (0, 0, 1))
     ly = P(2, (1, 0, 0), (0, 0, 1))
